@@ -7,15 +7,16 @@ Sweeps :func:`repro.graph.generators.highway_grid_network` sizes (default
   kernel (same random pairs, warm caches, best-of-3 -- see
   :func:`repro.experiments.harness.measure_batch_query_qps`), and
 * **per-batch update latency** of a rush-hour congestion stream
-  (:func:`repro.workloads.updates.rush_hour_stream`) across the full
-  engine x backend matrix -- (pareto, label_search) x (serial, thread,
-  process).  The stream nets to zero, so every configuration replays the
-  identical batches from the identical start state.
+  (:func:`repro.workloads.updates.rush_hour_stream`) through batched Label
+  Search on both backends (serial, process).  The stream nets to zero, so
+  every configuration replays the identical batches from the identical
+  start state.
 
-Writes the measurements as JSON (schema ``repro-perf-scale/2``)::
+Writes the measurements as JSON (schema ``repro-perf-scale/3``; schema/2
+also carried the retired Pareto and thread series)::
 
     {
-      "schema": "repro-perf-scale/2",
+      "schema": "repro-perf-scale/3",
       "seed": 2025, "python": "3.11.7", "numpy": "2.4.6" | null,
       "pairs": 20000,
       "construction": "serial" | "parallel" | null,   # --construction flag
@@ -31,7 +32,8 @@ Writes the measurements as JSON (schema ``repro-perf-scale/2``)::
           "updates": {
             "steps": ..., "hotspots": ..., "radius": ...,
             "updates_total": ...,
-            "per_batch_seconds": {"pareto_serial": ..., ...}
+            "per_batch_seconds": {"label_search_serial": ...,
+                                  "label_search_process": ...}
           }
         }, ...
       ]
@@ -75,16 +77,12 @@ from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.timer import Timer
 from repro.workloads.updates import rush_hour_stream
 
-SCHEMA = "repro-perf-scale/2"
+SCHEMA = "repro-perf-scale/3"
 
-#: The engine x backend matrix, in the order the JSON records it.
+#: The batched Label Search backends, in the order the JSON records them.
 STRATEGIES = (
-    ("pareto_serial", "pareto", "serial"),
-    ("pareto_thread", "pareto", "thread"),
-    ("pareto_process", "pareto", "process"),
-    ("label_search_serial", "label_search", "serial"),
-    ("label_search_thread", "label_search", "thread"),
-    ("label_search_process", "label_search", "process"),
+    ("label_search_serial", "serial"),
+    ("label_search_process", "process"),
 )
 
 
@@ -126,10 +124,10 @@ def measure_scale(
     nonempty = sum(1 for batch in batches if batch.updates) or 1
 
     per_batch: dict[str, float] = {}
-    for key, engine, backend in STRATEGIES:
+    for key, backend in STRATEGIES:
         # The stream nets to zero, so after a full replay the labels are
         # back to the start state and the next strategy sees identical work.
-        config = STLConfig(backend=backend, engine=engine)
+        config = STLConfig(backend=backend)
         timer = Timer()
         for batch in batches:
             with timer.measure():

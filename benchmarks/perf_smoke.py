@@ -1,14 +1,13 @@
-"""CI perf-smoke: a scaled-down Figure 10 engine x backend comparison.
+"""CI perf-smoke: a scaled-down Figure 10 comparison of the batch legs.
 
 Runs one update stream through the batch strategies of
-:meth:`repro.core.stl.StableTreeLabelling.apply_batch` -- both engine
-families (Pareto, Label Search) on all three backends (serial, thread,
-process) plus the per-update loop -- writes the wall-clocks plus memory,
-shipping and engine-calibration measurements as ``BENCH_ci.json`` (schema
-below) and -- when ``--check`` is given -- fails if a gated series
-regressed more than ``--threshold`` x against the committed baseline
-(``benchmarks/baseline.json``), or if the label store's estimated memory
-grew more than ``--memory-threshold`` x.
+:meth:`repro.core.stl.StableTreeLabelling.apply_batch` -- batched Label
+Search on both backends (serial, process) plus the per-update loop --
+writes the wall-clocks plus memory and shipping measurements as
+``BENCH_ci.json`` (schema below) and -- when ``--check`` is given -- fails
+if a gated series regressed more than ``--threshold`` x against the
+committed baseline (``benchmarks/baseline.json``), or if the label store's
+estimated memory grew more than ``--memory-threshold`` x.
 
 Schema (``repro-perf-smoke/4``)::
 
@@ -25,12 +24,8 @@ Schema (``repro-perf-smoke/4``)::
       "series": {            # wall-clock seconds per strategy
         "construction": ...,
         "per_update": ...,
-        "batched": ...,            # Pareto engine, serial backend
-        "thread_sharded": ...,     # Pareto engine, thread backend
-        "process_sharded": ...,    # Pareto engine, process backend
-        "ls_batched": ...,         # Label Search engine, serial backend
-        "ls_thread_sharded": ...,  # Label Search engine, thread backend
-        "ls_process_sharded": ...  # Label Search engine, process backend
+        "ls_batched": ...,         # batched Label Search, serial backend
+        "ls_process_sharded": ...  # batched Label Search, process backend
       },
       "memory": {
         "label_store_bytes": ...,   # flat entries + offsets (exact)
@@ -41,20 +36,14 @@ Schema (``repro-perf-smoke/4``)::
         "measurements": [{"updates", "slice_bytes", "slice_seconds",
                           "delta_bytes", "delta_seconds",
                           "bytes_ratio", "seconds_ratio"}, ...]
-      },
-      "engines": {           # Pareto-vs-LS calibration (core/calibration)
-        "measurements": [{"updates", "pareto_seconds",
-                          "label_search_seconds", "speedup"}, ...],
-        "recommended_label_search_max": ...
       }
     }
 
-The time guard keys on the **batched** and **ls_batched** series only:
-they are the strategies with the least scheduling noise (no pools), so a
->2x change means a real algorithmic regression rather than a loaded
-runner.  The sharded series are recorded as a trajectory (CI uploads the
-JSON as an artifact per run) but not gated -- their wall-clocks depend on
-the runner's core count.  The query guard keys on ``vector_qps`` (when
+The time guard keys on the **ls_batched** series only: it is the batch
+strategy with the least scheduling noise (no pool), so a >2x change means a
+real algorithmic regression rather than a loaded runner.  The process
+series is recorded as a trajectory (CI uploads the JSON as an artifact per
+run) but not gated -- its wall-clock depends on the runner's core count.  The query guard keys on ``vector_qps`` (when
 both the run and the baseline have one): the vectorised batch query is
 single-threaded and best-of-3, so a >2x throughput drop is a kernel
 regression, not noise.  The memory guard keys on ``estimate_bytes``: it
@@ -77,7 +66,7 @@ import sys
 from pathlib import Path
 
 from repro.core.batch import BatchPolicy
-from repro.core.calibration import calibrate_engines, calibrate_shipping
+from repro.core.calibration import calibrate_shipping
 from repro.core.kernels import DEFAULT_KERNEL, HAS_NUMPY
 from repro.core.stl import StableTreeLabelling
 from repro.experiments.harness import measure_batch_query_qps, measure_batched_seconds
@@ -92,11 +81,11 @@ SCHEMA = "repro-perf-smoke/4"
 QUERY_PAIRS = 5_000
 
 #: Series gated by ``--check``; everything else is trajectory-only.
-GATED_SERIES = ("batched", "ls_batched")
+GATED_SERIES = ("ls_batched",)
 
 
 def run_smoke(dataset: str, scale: float, updates: int, seed: int) -> dict:
-    """Measure the engine x backend strategies once on one Figure 10 stream."""
+    """Measure the batch strategies once on one Figure 10 stream."""
     graph = build_dataset(dataset, scale=scale, seed=seed)
     stl = StableTreeLabelling.build(graph, HierarchyOptions(leaf_size=8))
     stl.batch_policy = BatchPolicy(rebuild_fraction=None)
@@ -127,22 +116,10 @@ def run_smoke(dataset: str, scale: float, updates: int, seed: int) -> dict:
 
     # Every pass replays the same halves: the stream nets to zero, so the
     # graph (and therefore the labels) return to the same state in between.
-    # Each series pins its engine explicitly so the policy's engine
-    # crossover can never reroute a series behind its label.
-    for key, parallel, engine in (
-        ("batched", "serial", "pareto"),
-        ("thread_sharded", "thread", "pareto"),
-        ("process_sharded", "process", "pareto"),
-        ("ls_batched", "serial", "label_search"),
-        ("ls_thread_sharded", "thread", "label_search"),
-        ("ls_process_sharded", "process", "label_search"),
-    ):
-        series[key], _ = measure_batched_seconds(
-            stl, halves, parallel=parallel, engine=engine
-        )
+    for key, backend in (("ls_batched", "serial"), ("ls_process_sharded", "process")):
+        series[key], _ = measure_batched_seconds(stl, halves, backend=backend)
 
     shipping = calibrate_shipping(stl.graph, stl.labels).as_dict()
-    engines = calibrate_engines(stl.graph, stl.hierarchy, stl.labels).as_dict()
     memory = {
         "label_store_bytes": stl.labels.store_bytes(),
         "estimate_bytes": stl.labels.memory_estimate().total_bytes,
@@ -161,7 +138,6 @@ def run_smoke(dataset: str, scale: float, updates: int, seed: int) -> dict:
         "series": series,
         "memory": memory,
         "shipping": shipping,
-        "engines": engines,
     }
 
 
@@ -224,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the measurement JSON here (e.g. BENCH_ci.json)")
     parser.add_argument("--check", type=Path, default=None,
-                        help="baseline JSON to compare the batched series against")
+                        help="baseline JSON to compare the ls_batched series against")
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="allowed slowdown factor vs the baseline (default 2.0)")
     parser.add_argument("--memory-threshold", type=float, default=1.5,
@@ -253,13 +229,6 @@ def main(argv: list[str] | None = None) -> int:
               f"slice {m['slice_bytes']} B / {m['slice_seconds'] * 1e3:.2f} ms, "
               f"delta {m['delta_bytes']} B / {m['delta_seconds'] * 1e3:.2f} ms "
               f"(x{m['bytes_ratio']:.1f} bytes, x{m['seconds_ratio']:.1f} time)")
-    for m in result["engines"]["measurements"]:
-        print(f"engines @{m['updates']:>4} updates: "
-              f"pareto {m['pareto_seconds'] * 1e3:.2f} ms, "
-              f"label_search {m['label_search_seconds'] * 1e3:.2f} ms "
-              f"(x{m['speedup']:.2f})")
-    print(f"engines: recommended label_search_max = "
-          f"{result['engines']['recommended_label_search_max']}")
 
     for target in (args.out, args.write_baseline):
         if target is not None:

@@ -38,7 +38,7 @@ def test_figure10_batched_beats_per_update_1k(bench_config):
     The same stream (a 1,000-edge sample doubled, then restored; the
     sample deduplicates to at most the dataset's edge count, so the report
     records the actual stream size) is processed three ways: the per-update
-    loop, the shared-phase batch engine (rebuild fallback disabled), and
+    loop, serial batched Label Search (rebuild fallback disabled), and
     ``apply_batch`` under the default policy (which crosses over to an
     in-place rebuild for a batch this large).  Both batch flavours must beat
     the loop.
@@ -60,9 +60,9 @@ def test_figure10_batched_beats_per_update_1k(bench_config):
             stl.apply_update(update)
     per_update = loop_timer.elapsed
 
-    # process_min_updates=None keeps this series on the engine/thread pair
-    # this benchmark has always measured; the process pool needs real cores
-    # to win and is compared separately in test_figure10_sharded.py.
+    # process_min_updates=None keeps this series on the serial batched
+    # engine; the process pool needs real cores to win and is measured by
+    # the Figure 10 report and the perf smoke.
     stl.batch_policy = BatchPolicy(rebuild_fraction=None, process_min_updates=None)
     engine_only, engine_fallbacks = measure_batched_seconds(stl, halves)
 

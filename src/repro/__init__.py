@@ -31,11 +31,9 @@ Quickstart::
     print(stl.query(0, graph.num_vertices - 1))
     stl.decrease_edge(0, 1, new_weight=1.0)
 
-All tunables (shard backend, batch engine, query kernel, batch policy) live
-on the frozen :class:`STLConfig`; the per-call ``parallel=`` / ``engine=`` /
-``kernel=`` kwargs still work but are deprecated (docs/api.md has the
-migration table).  Every error raised by the package derives from
-:class:`repro.utils.errors.STLError`.
+All tunables (shard backend, per-update maintenance family, query kernel,
+batch policy) live on the frozen :class:`STLConfig`.  Every error raised by
+the package derives from :class:`repro.utils.errors.STLError`.
 """
 
 from repro.graph.graph import Graph

@@ -1,54 +1,20 @@
-"""Batched Pareto Search maintenance (the paper's Figure 10 batch regime).
+"""The batch policy: which strategy a coalesced batch of updates deserves.
 
-The per-update Pareto Search algorithms (:mod:`repro.core.pareto_search`) run
-two interval searches per update.  For the batch workloads of the evaluation
-(Figure 10: groups of hundreds of updates) that wastes work twice over:
+A batch is first folded into one *net* update per edge
+(:meth:`repro.graph.updates.UpdateBatch.coalesce`); :class:`BatchPolicy`
+then picks one of four strategies for it, keyed on the net batch size:
 
-* overlapping updates re-explore the same regions -- the affected
-  ``(vertex, level)`` sets of nearby updates largely coincide, and
-* every update pays its own repair phase even though the repairs are
-  Dijkstra searches over the *same* labels.
-
-:class:`BatchedParetoEngine` lifts the sharing that Label Search's per-index
-queues already exploit (see :mod:`repro.core.label_search`) into the
-update-centric Pareto structure, for a batch of **coalesced** updates (one
-net update per edge, see :meth:`repro.graph.updates.UpdateBatch.coalesce`):
-
-* **Increases** -- one shared mark phase runs every endpoint search on the
-  unmodified graph and merges the affected ``(vertex, level)`` sets,
-  accumulating per-entry bumps (the sum of the deltas of every update whose
-  old shortest paths cross the entry -- a valid upper bound, since keeping
-  any old shortest path costs its old length plus the deltas of the updated
-  edges it uses).  All new weights are then applied at once and a *single*
-  combined bump-and-repair (Algorithm 5) restores exact distances.
-* **Decreases** -- all new weights are applied first, then every endpoint
-  search runs on one *shared frontier*: a single priority queue interleaves
-  the searches (each keeps its own ``level()`` pruning map, so per-context
-  pops still arrive in nondecreasing distance order), and because decrease
-  repairs are monotone toward the true distances, a repair made by one
-  search immediately prunes the relaxations of every other.
-
-Correctness of the decrease pass on the fully-decreased graph: a label entry
-whose distance drops has a new shortest path that can be decomposed at its
-decreased edge *closest to the ancestor*, ``v .. x -> y .. anc``, where the
-suffix avoids decreased edges; the search context rooted at ``y`` relaxes the
-entry with ``d(v .. x -> y) + L(y)[i]``, and ``L(y)[i]`` never exceeds the
-suffix length (the suffix is old-valid) nor undershoots the true new
-distance.  Tests verify both passes entry-wise against from-scratch rebuilds.
-
-:class:`BatchPolicy` additionally decides *which* processing strategy a batch
-deserves.  It is a four-way crossover (plus the rebuild fallback):
-
-* tiny batches run through the historical **per-update loop** -- the batch
-  machinery has fixed costs that one or two updates never amortise,
-* moderate batches run through the shared-phase **batched** engine above,
-* large batches whose updates spread across the partition regions of
-  :class:`repro.core.shard.ShardPlanner` run through the **thread-sharded**
-  :class:`repro.core.shard.ShardedBatchEngine`,
-* very large well-spread batches (past ``process_min_updates``) run through
-  the **process-sharded** :class:`repro.core.parallel.ProcessShardBackend`,
-  whose per-batch shipping overhead only amortises when there is enough
-  repair work per shard to keep the worker processes busy,
+* tiny batches run through the **per-update loop** -- the paper's STL-P or
+  STL-L algorithms, one update at a time, the path single edge updates
+  take in the paper's evaluation and in the query service;
+* other batches run through **batched Label Search**
+  (:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`), the
+  fastest serial engine at every measured batch size;
+* very large batches whose updates spread across the partition regions of
+  :class:`repro.core.shard.ShardPlanner` run the same batched Label Search
+  on the **process** backend (:class:`repro.core.parallel.ProcessShardBackend`),
+  whose per-batch overhead only amortises when there is enough repair work
+  per shard to keep the worker processes busy;
 * and past a configurable fraction of affected edges a from-scratch label
   **rebuild** (the Figure 10 baseline) is cheaper than any maintenance.
 
@@ -58,31 +24,25 @@ and dispatches accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
-from repro.core.label_search import MaintenanceStats, _orient
-from repro.core.labelling import STLLabels
-from repro.core.pareto_search import ParetoSearchIncrease
 from repro.graph.graph import Graph
-from repro.graph.updates import EdgeUpdate, UpdateKind
-from repro.hierarchy.tree import StableTreeHierarchy
+from repro.graph.updates import EdgeUpdate
 from repro.utils.errors import ConfigError, UpdateError
 
 
-#: The engine names ``apply_batch(engine=...)`` accepts (sorted for the
-#: error message of :func:`normalize_engine`).
+#: The per-update maintenance families ``STLConfig(engine=...)`` accepts
+#: (sorted for the error message of :func:`normalize_engine`).
 ENGINE_NAMES = ("label_search", "pareto")
 
 
 def normalize_engine(engine: str | None) -> str | None:
-    """Map an ``apply_batch(engine=...)`` argument to an engine name.
+    """Validate an ``STLConfig(engine=...)`` value.
 
-    ``None`` means "let :meth:`BatchPolicy.engine_for` (or the index's
-    maintenance mode) decide" and is returned unchanged; the explicit names
-    ``"pareto"`` / ``"label_search"`` select a batch engine directly.
+    ``None`` means "use the index's maintenance mode" and is returned
+    unchanged; ``"pareto"`` (STL-P) and ``"label_search"`` (STL-L) name the
+    per-update family that ``apply_update`` and the tiny-batch loop run.
     Anything else raises :class:`repro.utils.errors.ConfigError` (a
     :class:`ValueError` subclass) naming the allowed set.
     """
@@ -92,7 +52,7 @@ def normalize_engine(engine: str | None) -> str | None:
         return engine
     allowed = ", ".join(repr(name) for name in ENGINE_NAMES)
     raise ConfigError(
-        f"unknown batch engine {engine!r}; allowed engines: {allowed} (or None)"
+        f"unknown maintenance engine {engine!r}; allowed engines: {allowed} (or None)"
     )
 
 
@@ -100,22 +60,21 @@ def normalize_engine(engine: str | None) -> str | None:
 class BatchPolicy:
     """Knobs governing how a batch of updates is processed.
 
-    The policy implements a four-way crossover keyed on the *net* (coalesced)
-    batch size, refined by the shard balance of the planned partition:
+    The policy picks one of four legs keyed on the *net* (coalesced) batch
+    size, refined by the shard balance of the planned partition:
 
     ===========================  =====================================
     net batch size               strategy
     ===========================  =====================================
     ``< batched_min_updates``    per-update loop (``apply_update``)
-    moderate                     shared-phase :class:`BatchedParetoEngine`
-    ``>= parallel_min_updates``  thread-sharded worker pool, *if* the shard
-                                 plan keeps at least ``parallel_min_balance``
-                                 of the updates out of the residual shard
-    ``>= process_min_updates``   process-sharded pool with partitioned label
-                                 ownership (same balance gate)
+    moderate                     serial batched Label Search
+    ``>= process_min_updates``   batched Label Search on the process
+                                 backend, *if* the shard plan keeps at
+                                 least ``parallel_min_balance`` of the
+                                 updates out of the residual shard
     ===========================  =====================================
 
-    with the pre-existing rebuild fallback taking precedence over all four.
+    with the rebuild fallback taking precedence over all three.
 
     Attributes
     ----------
@@ -127,66 +86,31 @@ class BatchPolicy:
         (coalesced) updates exceeds this fraction of the graph's edges.
         ``None`` disables the fallback entirely (the engine always runs).
     batched_min_updates:
-        Below this many net updates the batch machinery (precondition scan,
-        kind partition, merged phases) costs more than it shares; the batch
-        is processed through the plain per-update loop instead.
-    parallel_min_updates:
-        From this many net updates onward the sharded-parallel engine is
-        *considered*: a shard plan is computed and used when it is balanced
-        enough (see ``parallel_min_balance``).  ``None`` disables the
-        sharded path from the policy side (``parallel=True`` still forces it).
+        Below this many net updates the batch is processed through the
+        plain per-update loop of the configured family instead of the
+        batched engine.
     parallel_min_balance:
         Minimum fraction of the net updates that must land in per-region
         shard sub-batches (rather than the serial residual shard) for the
-        sharded engine to be worth its pool/merge overhead.
+        process backend to be worth its pool and settlement overhead.
     process_min_updates:
-        From this many net updates onward a sharded batch is routed to the
-        process-pool backend (:mod:`repro.core.parallel`) instead of the
-        thread pool.  The default of 384 (twice ``parallel_min_updates``)
-        comes from the shipping calibration
-        (:func:`repro.core.calibration.calibrate_shipping`, run by
-        ``benchmarks/perf_smoke.py`` on the NY x0.5 smoke graph): the old
-        slice-shipping protocol moved ~380 KB in ~2.4-3.2 ms per batch
-        *independent of batch size*, which is why the backend used to be
-        opt-in (``None``); the resident delta protocol ships 1.9-20 KB in
-        0.04-0.3 ms (20-200x fewer bytes, 11-59x less time), clearing the
-        10-percent-of-processing-time overhead bar from ~48-update batches up.
-        Shipping therefore no longer gates the crossover; the remaining
-        per-batch cost is the two serial settlement passes, so the default
-        leaves the mid range to the thread engine and engages the process
-        pool only where there is twice the repair work the thread gate
-        already demands.  ``None`` disables the fourth leg;
-        ``parallel="process"`` always forces it regardless.
-    label_search_max_updates:
-        The engine half of the joint engine x backend crossover
-        (:meth:`engine_for`): batches up to this many net updates run the
-        batched Label Search engine
-        (:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`),
-        larger ones the batched Pareto engine.  Calibrated like
-        ``process_min_updates``, via
-        :func:`repro.core.calibration.calibrate_engines` on the NY x0.5
-        smoke graph (run by ``benchmarks/perf_smoke.py``): Label Search's
-        per-index queues won every size measured there -- 1.4-2.7x faster
-        on coalesced batches of 23-311 net updates (raw sizes 24-384), the
-        widening gap tracking how its one-drain-per-index cost saturates
-        while Pareto pays per update.  The default of 384 routes the whole
-        measured range to Label Search and leaves the unmeasured beyond to
-        Pareto's update-centric searches, whose shared frontier amortises
-        better as updates begin to overlap.  ``None`` pins the crossover to
-        Pareto (the pre-PR-7 behaviour); an explicit
-        ``apply_batch(engine=...)`` always wins over the crossover.
+        From this many net updates onward a batch is planned into shards and
+        routed to the process backend when the plan is balanced enough.
+        The default of 384 keeps every batch of the perf smoke and the
+        rush-hour workloads serial; on a 10k-vertex rush-hour stream on 2
+        CPUs the process backend won, 837 vs 1065 ms per batch.  ``None``
+        disables the leg; ``STLConfig(backend="process")`` always forces it
+        regardless.
     max_workers:
-        Worker-pool size for the sharded engines; ``None`` lets each engine
-        size its pool to ``min(#shards, os.cpu_count())``.
+        Worker-pool size for the process backend; ``None`` sizes the pool
+        to ``min(#shards, os.cpu_count())``.
     """
 
     rebuild_min_updates: int = 64
     rebuild_fraction: float | None = 0.25
     batched_min_updates: int = 3
-    parallel_min_updates: int | None = 192
     parallel_min_balance: float = 0.5
     process_min_updates: int | None = 384
-    label_search_max_updates: int | None = 384
     max_workers: int | None = None
 
     def should_rebuild(self, num_net_updates: int, num_edges: int) -> bool:
@@ -202,39 +126,10 @@ class BatchPolicy:
         return num_net_updates < self.batched_min_updates
 
     def should_shard(self, num_net_updates: int) -> bool:
-        """Whether the batch is large enough to consider the sharded engine."""
-        if self.parallel_min_updates is None:
+        """Whether the batch is large enough to consider the process backend."""
+        if self.process_min_updates is None:
             return False
-        return num_net_updates >= self.parallel_min_updates
-
-    def backend_for(self, num_net_updates: int) -> str:
-        """Which sharded backend a batch of this size deserves.
-
-        Only consulted after :meth:`should_shard` (and the plan-balance
-        gate) already said yes; the answer is the fourth leg of the
-        crossover: ``"process"`` past ``process_min_updates``, else
-        ``"thread"``.
-        """
-        if self.process_min_updates is not None and num_net_updates >= self.process_min_updates:
-            return "process"
-        return "thread"
-
-    def engine_for(self, num_net_updates: int) -> str:
-        """Which batch engine a batch of this size deserves.
-
-        The engine half of the joint crossover: ``"label_search"`` up to
-        ``label_search_max_updates`` net updates, ``"pareto"`` beyond (and
-        always when the threshold is ``None``).  Only consulted when the
-        caller passed neither ``engine=...`` nor a Label Search maintenance
-        mode; orthogonal to :meth:`backend_for` -- either engine runs on any
-        backend.
-        """
-        if (
-            self.label_search_max_updates is not None
-            and num_net_updates <= self.label_search_max_updates
-        ):
-            return "label_search"
-        return "pareto"
+        return num_net_updates >= self.process_min_updates
 
     def accepts_plan(self, populated_shards: int, balance: float) -> bool:
         """Whether a computed shard plan is balanced enough to run.
@@ -273,202 +168,3 @@ def validate_coalesced(graph: Graph, updates: Sequence[EdgeUpdate]) -> None:
                 f"edge ({update.u}, {update.v}) has weight {current}, "
                 f"update expected {update.old_weight}"
             )
-
-
-def shared_frontier_relax(
-    adjacency,
-    tau,
-    labels,
-    contexts,
-    counters: list[int],
-    owned: set[int] | None = None,
-    escapes: list[tuple[int, float, int, int, int]] | None = None,
-) -> None:
-    """Shared-frontier decrease relaxation over explicit per-root contexts.
-
-    The single implementation behind :func:`shared_frontier_decrease`
-    (contexts built from the decreased edges, unconfined) and the process
-    shard backend's confined worker frontiers plus escape settlement
-    (:mod:`repro.core.parallel`).  ``contexts`` is a sequence of
-    ``(root, root_label, seeds)`` with seeds ``(distance, interval_min,
-    vertex, interval_max)``; all contexts share one frontier heap, each pop
-    relaxing against its own root label and ``level()`` map, so repairs
-    written by one context prune the candidates of every other.
-    Per-context pops still arrive in nondecreasing distance order (a
-    subsequence of a globally distance-ordered heap), which keeps the
-    ``level(v)`` pruning safe.
-
-    ``counters`` is ``[heap_pushes, labels_changed, vertices_affected]``;
-    ``adjacency``/``labels`` only need ``[]`` lookup.  With ``owned``
-    given, frontier pushes leaving the owned set are recorded as
-    ``(root, *entry)`` escapes instead of followed.
-    """
-    roots = [root for root, _, _ in contexts]
-    root_labels = [label_root for _, label_root, _ in contexts]
-    level_maps: list[dict[int, int]] = [{} for _ in contexts]
-    heap: list[tuple[float, int, int, int, int]] = []
-    for ctx, (_, _, seeds) in enumerate(contexts):
-        for d, active_min, v, active_max in seeds:
-            heappush(heap, (d, active_min, ctx, v, active_max))
-            counters[0] += 1
-
-    while heap:
-        d, active_min, ctx, v, active_max = heappop(heap)
-        level = level_maps[ctx]
-        active_max = min(active_max, tau[v])
-        active_min = max(active_min, level.get(v, 0))
-        if active_min > active_max:
-            continue
-        level[v] = active_max + 1
-        counters[2] += 1
-
-        label_root = root_labels[ctx]
-        label_v = labels[v]
-        new_min = -1
-        new_max = -1
-        for i in range(active_min, active_max + 1):
-            root_dist = label_root[i]
-            if math.isinf(root_dist):
-                continue
-            candidate = d + root_dist
-            if candidate < label_v[i]:
-                label_v[i] = candidate
-                counters[1] += 1
-                if new_min == -1:
-                    new_min = i
-                new_max = i
-
-        if new_min != -1:
-            for nbr, weight in adjacency[v]:
-                if math.isinf(weight) or tau[nbr] < new_min:
-                    continue
-                if owned is not None and nbr not in owned:
-                    if escapes is not None:
-                        escapes.append((roots[ctx], d + weight, new_min, nbr, new_max))
-                    continue
-                heappush(heap, (d + weight, new_min, ctx, nbr, new_max))
-                counters[0] += 1
-
-
-def shared_frontier_decrease(
-    graph: Graph,
-    hierarchy: StableTreeHierarchy,
-    labels: STLLabels,
-    decreases: Sequence[EdgeUpdate],
-    apply_weights: bool = True,
-) -> MaintenanceStats:
-    """All decrease endpoint searches on one shared frontier.
-
-    This is the decrease half of :class:`BatchedParetoEngine`, exposed as a
-    function so the sharded engine (:mod:`repro.core.shard`) can reuse it.
-    ``apply_weights=False`` skips the weight application for callers that
-    already put the new weights in place.  The search body is the shared
-    :func:`shared_frontier_relax` kernel with one context per
-    ``(root, start)`` endpoint pair.
-
-    Correctness requires the **pre-decrease label state**: the decomposition
-    argument in the module docstring leans on every still-unrepaired entry
-    being realised by an old-valid path.  The pass is *not* exact from
-    half-repaired intermediate states -- propagation is improvement-gated
-    (no push without a label improvement), so an entry left stale behind
-    already-exact neighbours is never reached.  Callers must therefore run
-    this exactly once per batch of decreases, on labels that are exact for
-    the pre-decrease graph.
-    """
-    stats = MaintenanceStats()
-    tau = hierarchy.tau
-
-    if apply_weights:
-        for update in decreases:
-            graph.set_weight(update.u, update.v, update.new_weight)
-
-    contexts: list[tuple[int, list[float], list[tuple[float, int, int, int]]]] = []
-    for update in decreases:
-        a, b = _orient(update, tau)
-        phi = update.new_weight
-        rmin = min(tau[a], tau[b])
-        for root, start in ((a, b), (b, a)):
-            contexts.append((root, labels[root], [(phi, 0, start, rmin)]))
-
-    counters = [0, 0, 0]
-    shared_frontier_relax(graph.adjacency(), tau, labels, contexts, counters)
-    stats.heap_pushes += counters[0]
-    stats.labels_changed += counters[1]
-    stats.vertices_affected += counters[2]
-    return stats
-
-
-class BatchedParetoEngine:
-    """Shared-phase Pareto Search over a coalesced batch of updates."""
-
-    def __init__(self, graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabels):
-        self.graph = graph
-        self.hierarchy = hierarchy
-        self.labels = labels
-        # Reuses the per-update engine's mark and bump-and-repair phases; the
-        # batching is in how their inputs are merged, not in the searches.
-        self._increase = ParetoSearchIncrease(graph, hierarchy, labels)
-
-    def apply(self, updates: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        """Apply one coalesced batch (at most one net update per edge).
-
-        Net increases are processed first (their mark phase must see the
-        pre-batch weights), then net decreases on the increased graph; the
-        two groups touch disjoint edges, so the decreases' recorded old
-        weights stay valid.  NEUTRAL net updates change nothing but are
-        counted as processed.
-
-        Raises :class:`UpdateError` if an edge appears more than once (the
-        kind-partitioned processing below would silently reorder such a
-        chain -- the very corruption coalescing exists to fix) or if an
-        update's ``old_weight`` does not match the live graph (a stale
-        ``old_weight`` mis-scopes the mark phase and mis-classifies the net
-        kind, again silently).  ``UpdateBatch.coalesce`` establishes both
-        preconditions.
-        """
-        validate_coalesced(self.graph, updates)
-        increases = [u for u in updates if u.kind is UpdateKind.INCREASE]
-        decreases = [u for u in updates if u.kind is UpdateKind.DECREASE]
-        stats = MaintenanceStats(updates_processed=len(updates))
-        if increases:
-            stats.merge(self._apply_increases(increases))
-        if decreases:
-            stats.merge(self._apply_decreases(decreases))
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Increases: merged mark phase + one combined bump-and-repair
-    # ------------------------------------------------------------------ #
-
-    def _apply_increases(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        stats = MaintenanceStats()
-        tau = self.hierarchy.tau
-
-        # Mark phase: every endpoint search runs on the *old* graph and old
-        # labels; per (vertex, level) the deltas of all marking updates
-        # accumulate into one upper-bound bump.
-        affected: dict[int, dict[int, float]] = {}
-        for update in increases:
-            a, b = _orient(update, tau)
-            delta = update.new_weight - update.old_weight
-            marks: dict[int, set[int]] = {}
-            stats.merge(self._increase.mark_affected(a, b, update.old_weight, marks))
-            stats.merge(self._increase.mark_affected(b, a, update.old_weight, marks))
-            for v, levels in marks.items():
-                row = affected.setdefault(v, {})
-                for i in levels:
-                    row[i] = row.get(i, 0.0) + delta
-        stats.vertices_affected += len(affected)
-
-        for update in increases:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
-        if affected:
-            stats.merge(self._increase.bump_and_repair(affected))
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Decreases: all endpoint searches on one shared frontier
-    # ------------------------------------------------------------------ #
-
-    def _apply_decreases(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        return shared_frontier_decrease(self.graph, self.hierarchy, self.labels, decreases)

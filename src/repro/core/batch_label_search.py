@@ -4,9 +4,9 @@ The per-kind Label Search classes (:mod:`repro.core.label_search`) already
 share per-label-index priority queues across the updates of one ``apply``
 call -- the module docstring's observation that searches rooted in disjoint
 subtrees never interact.  :class:`BatchedLabelSearchEngine` completes the
-lift to the batch regime of :class:`repro.core.batch.BatchedParetoEngine`:
-one engine object that takes a whole **coalesced** batch (one net update per
-edge, mixed kinds) and processes it in two passes over shared queues:
+lift to the batch regime: one engine object that takes a whole **coalesced**
+batch (one net update per edge, mixed kinds) and processes it in two passes
+over shared queues:
 
 * **Increases first** -- one seed + drain pass over the *old* weights grows
   the per-index affected sets for every net increase at once
@@ -22,15 +22,14 @@ edge, mixed kinds) and processes it in two passes over shared queues:
 
 The two kind groups touch disjoint edges (coalescing guarantees it), so the
 increase pass's weight writes never invalidate a decrease's recorded old
-weight -- the same ordering argument as the Pareto batch engine.
+weight.
 
-This engine is the Label Search analogue of ``BatchedParetoEngine`` in the
-engine x backend matrix (see docs/architecture.md): it serves as the
-``serial`` backend, as the degenerate-plan and residual fallback of the
-``thread``/``process`` backends, and as the settle substrate those backends'
-escape records drain into.  Select it per batch with
-``StableTreeLabelling.apply_batch(engine="label_search")`` or let
-:meth:`repro.core.batch.BatchPolicy.engine_for` pick.
+This is the batch engine of :meth:`repro.core.stl.StableTreeLabelling
+.apply_batch` for every batch the :class:`repro.core.batch.BatchPolicy`
+neither loops over nor rebuilds: it runs serially, and it is the
+degenerate-plan and residual fallback of the process backend
+(:mod:`repro.core.parallel`), whose escape records drain into the same
+module-level kernels.
 """
 
 from __future__ import annotations
@@ -52,20 +51,6 @@ from repro.graph.updates import EdgeUpdate, UpdateKind
 from repro.hierarchy.tree import StableTreeHierarchy
 
 
-def merge_affected_sets(
-    target: dict[int, set[int]], source: dict[int, Sequence[int] | set[int]]
-) -> None:
-    """Union per-index affected sets into ``target`` (shard/worker merge).
-
-    Affected sets are *sets of marked vertices*, so the union over shards is
-    exactly the set a global phase-1 search would have produced -- each
-    shard replays the chains inside its region verbatim and hands crossing
-    chains on as escapes, whose settle drain grows these same sets further.
-    """
-    for index, vertices in source.items():
-        target.setdefault(index, set()).update(vertices)
-
-
 class BatchedLabelSearchEngine:
     """Shared-queue Label Search over a coalesced batch of updates."""
 
@@ -81,7 +66,7 @@ class BatchedLabelSearchEngine:
         pre-batch weights), then net decreases on the increased graph;
         NEUTRAL net updates change nothing but are counted as processed.
         Raises :class:`repro.utils.errors.UpdateError` on non-coalesced or
-        stale input, exactly like the Pareto batch engine.
+        stale input (see :func:`repro.core.batch.validate_coalesced`).
         """
         validate_coalesced(self.graph, updates)
         increases = [u for u in updates if u.kind is UpdateKind.INCREASE]

@@ -1,13 +1,7 @@
-"""Empirical calibration for the batch-policy crossovers.
-
-Two knobs of :class:`repro.core.batch.BatchPolicy` are grounded in
-measurement rather than analysis, and this module provides the measurement
-for both: :func:`calibrate_shipping` for the **backend** crossover
-(``process_min_updates``) and :func:`calibrate_engines` for the **engine**
-crossover (``label_search_max_updates``).
+"""Empirical calibration of the process backend's shipping cost.
 
 :class:`repro.core.batch.BatchPolicy.process_min_updates` decides when a
-sharded batch is routed to the process pool.  The right value depends on
+batch is routed to the process pool.  The right value depends on
 what a batch actually costs to *ship* to the workers, which changed
 fundamentally with shared-memory residency: the legacy protocol re-pickled
 every owned label row (plus adjacency rows) out to the workers and the
@@ -22,8 +16,7 @@ backends would ship them -- and derives a recommended crossover: the
 smallest measured batch size whose resident shipping overhead stays below a
 fraction of the batch's serial processing time.  ``benchmarks/perf_smoke.py``
 runs the calibration on the smoke workload and records the measurements in
-its JSON artifact, which is where the documented default of
-``process_min_updates`` comes from.
+its JSON artifact.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from repro.core.serialization import slice_labels
 from repro.core.shard import ShardPlanner
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, UpdateKind
-from repro.hierarchy.tree import StableTreeHierarchy
 
 #: Conservative cost of one request/reply pipe round trip (pickle framing,
 #: two context switches); folded into the recommended-crossover overhead.
@@ -91,8 +83,8 @@ class ShippingCalibration:
         A batch amortises the pool when its fixed per-batch overhead --
         resident shipping plus ``round_trips`` pipe round trips -- stays
         below ``overhead_fraction`` of the batch's serial processing time
-        (``updates * per_update_seconds``, e.g. the ``batched`` series of
-        the perf smoke divided by its update count).  Falls back to twice
+        (``updates * per_update_seconds``, e.g. the ``ls_batched`` series
+        of the perf smoke divided by its update count).  Falls back to twice
         the largest measured size when no measured size qualifies.
         """
         for m in sorted(self.measurements, key=lambda m: m.updates):
@@ -220,107 +212,3 @@ def calibrate_shipping(
             )
         )
     return ShippingCalibration(measurements=tuple(measurements))
-
-
-@dataclass(frozen=True)
-class EngineMeasurement:
-    """Serial batch seconds of both engine families at one batch size.
-
-    Both engines process the *same* synthetic coalesced batch from the same
-    starting labels (independent graph/label copies), so the two timings are
-    directly comparable; ``rounds`` timings are taken and the minimum kept.
-    """
-
-    updates: int
-    pareto_seconds: float
-    label_search_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """How many times faster Label Search ran (>1 means it won)."""
-        return self.pareto_seconds / max(1e-12, self.label_search_seconds)
-
-
-@dataclass(frozen=True)
-class EngineCalibration:
-    """Result of :func:`calibrate_engines`: one measurement per batch size."""
-
-    measurements: tuple[EngineMeasurement, ...]
-
-    def recommended_label_search_max(self) -> int | None:
-        """Largest measured batch size up to which Label Search kept winning.
-
-        Scans the measurements in ascending batch size and stops at the
-        first size where the Pareto engine was strictly faster -- the
-        crossover must be a *prefix* property (route small batches to Label
-        Search, large ones to Pareto), so an isolated Label Search win
-        beyond a loss does not extend the recommendation.  Returns ``None``
-        when Label Search lost even at the smallest measured size.
-        """
-        best: int | None = None
-        for m in sorted(self.measurements, key=lambda m: m.updates):
-            if m.label_search_seconds > m.pareto_seconds:
-                break
-            best = m.updates
-        return best
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form (recorded by the perf-smoke artifact)."""
-        return {
-            "measurements": [
-                {
-                    "updates": m.updates,
-                    "pareto_seconds": m.pareto_seconds,
-                    "label_search_seconds": m.label_search_seconds,
-                    "speedup": m.speedup,
-                }
-                for m in self.measurements
-            ],
-            "recommended_label_search_max": self.recommended_label_search_max(),
-        }
-
-
-def calibrate_engines(
-    graph: Graph,
-    hierarchy: StableTreeHierarchy,
-    labels: STLLabels,
-    batch_sizes: Sequence[int] = (24, 48, 96, 192, 384),
-    seed: int = 2025,
-    rounds: int = 3,
-) -> EngineCalibration:
-    """Race the two serial batch engines across a range of batch sizes.
-
-    For each size, a synthetic mixed batch is coalesced once and applied by
-    each engine ``rounds`` times, every application starting from a fresh
-    copy of the graph and labels so no engine sees the other's writes (or
-    its own previous round's); the minimum wall time per engine is kept.
-    The perf smoke records the result, and
-    :attr:`repro.core.batch.BatchPolicy.label_search_max_updates` documents
-    the recommendation this produced on the smoke workload.
-    """
-    from repro.core.batch import BatchedParetoEngine
-    from repro.core.batch_label_search import BatchedLabelSearchEngine
-
-    measurements = []
-    for size in batch_sizes:
-        updates = _synthetic_batch(graph, size, seed + size)
-        timings = {"pareto": float("inf"), "label_search": float("inf")}
-        for name, engine_cls in (
-            ("pareto", BatchedParetoEngine),
-            ("label_search", BatchedLabelSearchEngine),
-        ):
-            for _ in range(max(1, rounds)):
-                graph_copy = graph.copy()
-                labels_copy = labels.copy()
-                engine = engine_cls(graph_copy, hierarchy, labels_copy)
-                start = time.perf_counter()
-                engine.apply(updates)
-                timings[name] = min(timings[name], time.perf_counter() - start)
-        measurements.append(
-            EngineMeasurement(
-                updates=len(updates),
-                pareto_seconds=timings["pareto"],
-                label_search_seconds=timings["label_search"],
-            )
-        )
-    return EngineCalibration(measurements=tuple(measurements))

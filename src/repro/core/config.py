@@ -1,20 +1,16 @@
 """The one configuration object of the public API.
 
-Eight PRs of growth left :meth:`repro.core.stl.StableTreeLabelling` with a
-pile of accreted per-call knobs -- ``apply_batch(parallel=..., engine=...,
-policy=...)``, ``batch_query(kernel=...)``, ``build(maintenance=...)`` --
-each validated in a different module with a different failure mode.
-:class:`STLConfig` subsumes them into one frozen dataclass with one shared
-validator:
+:class:`STLConfig` is one frozen dataclass with one shared validator for
+every choice an index makes:
 
 ========== =========================================== ====================
 field      selects                                     values
 ========== =========================================== ====================
-backend    shard backend for batch maintenance         ``None`` / ``"serial"``
-                                                       / ``"thread"`` /
-                                                       ``"process"``
-engine     batch engine family                         ``None`` / ``"pareto"``
-                                                       / ``"label_search"``
+backend    where large batches run                     ``None`` / ``"serial"``
+                                                       / ``"process"``
+engine     per-update maintenance family (STL-P or     ``None`` / ``"pareto"``
+           STL-L) of ``apply_update`` and the          / ``"label_search"``
+           tiny-batch loop
 kernel     query kernel for ``batch_query``            ``None`` / ``"scalar"``
                                                        / ``"vector"``
 policy     crossover thresholds                        a :class:`BatchPolicy`
@@ -23,12 +19,13 @@ construction  index build pipeline                     ``None`` / ``"serial"``
                                                        / ``"parallel"``
 ========== =========================================== ====================
 
-``None`` always means "let the measured crossovers decide" -- the same
-meaning the old per-call kwargs gave it.  Validation happens **at
-construction**: a typo'd backend name fails where the config is written,
-not batches later inside ``apply_batch``, and every validation failure is a
-:class:`repro.utils.errors.ConfigError` (a ``ValueError`` subclass, so
-pre-redesign ``except ValueError`` handlers keep working).
+``None`` always means "let the measured crossovers decide".  Every batch
+the policy neither loops over nor rebuilds runs batched Label Search,
+serially or on the process backend, whatever the ``engine``.  Validation
+happens **at construction**: a typo'd backend name fails where the config
+is written, not batches later inside ``apply_batch``, and every validation
+failure is a :class:`repro.utils.errors.ConfigError` (a ``ValueError``
+subclass).
 
 Instances are immutable and hashable; derive variants with
 :meth:`STLConfig.replace`::
@@ -38,8 +35,7 @@ Instances are immutable and hashable; derive variants with
 
 The facade :func:`repro.open_network` attaches a config to a new index, and
 the per-call ``config=`` parameters of ``apply_batch`` / ``batch_query``
-override it batch by batch.  The old kwargs still work through a
-deprecation shim (see docs/api.md for the migration table) but warn.
+override it batch by batch.
 """
 
 from __future__ import annotations
@@ -60,25 +56,18 @@ class STLConfig:
     """Frozen configuration for an STL index (see the module docstring).
 
     All fields default to ``None`` -- "decide by measured crossover" -- so
-    ``STLConfig()`` is the legacy default behaviour.  ``backend`` also
-    accepts the legacy boolean spellings of the old ``parallel=`` kwarg
-    (``True`` -> ``"thread"``, ``False`` -> ``"serial"``); they are
-    normalised at construction so two spellings of one config compare
-    equal.
+    ``STLConfig()`` is the default behaviour.
     """
 
-    backend: str | bool | None = None
+    backend: str | None = None
     engine: str | None = None
     kernel: str | None = None
     policy: BatchPolicy | None = None
     construction: str | None = None
 
     def __post_init__(self) -> None:
-        # One shared validator: the same normalizers the per-call kwargs
-        # used, run once at construction.  ``backend`` is stored normalised
-        # (booleans folded to their names) so equality and hashing see one
-        # canonical spelling.
-        object.__setattr__(self, "backend", normalize_parallel(self.backend))
+        # One shared validator, run once at construction.
+        normalize_parallel(self.backend)
         normalize_engine(self.engine)
         # ``kernel`` is validated for *name* here but availability
         # (numpy present) is checked too: a config that names the vector
@@ -99,10 +88,8 @@ class STLConfig:
     def maintenance(self) -> str:
         """The per-update maintenance mode this config implies.
 
-        The ``engine`` field names the batch engine family; the per-update
-        algorithms of the same family serve single updates, so the two
-        selections collapse into one: ``"label_search"`` when the engine is
-        Label Search, the default ``"pareto"`` otherwise.
+        ``"label_search"`` (STL-L) when the engine is Label Search, the
+        default ``"pareto"`` (STL-P) otherwise.
         """
         return "label_search" if self.engine == "label_search" else "pareto"
 

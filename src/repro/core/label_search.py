@@ -32,10 +32,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from repro.core import kernels
-from repro.core.kernels import (  # noqa: F401 - MARK_SLACK is a back-compat re-export
-    MARK_SLACK,
-    on_old_shortest_path,
-)
+from repro.core.kernels import on_old_shortest_path
 from repro.core.labelling import STLLabels
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateKind
@@ -46,13 +43,7 @@ UNREACHABLE = math.inf
 
 #: Escape record of a *confined* per-label-index queue: ``(index, distance,
 #: vertex)`` -- the heap entry an unconfined drain would have pushed at a
-#: separator crossing.  The Label Search analogue of the Pareto escape
-#: records settled by :mod:`repro.core.parallel`.
-#:
-#: The ``on_old_shortest_path`` predicate and its ``MARK_SLACK`` tolerance
-#: (documented in :mod:`repro.core.kernels`, which also hosts their
-#: whole-row vectorised forms) are re-exported above -- the mark phases
-#: below and their historical importers keep using them from here.
+#: separator crossing, settled by :mod:`repro.core.parallel`.
 LabelSearchEscape = tuple[int, float, int]
 
 
@@ -103,11 +94,10 @@ def _orient(update: EdgeUpdate, tau: list[int]) -> tuple[int, int]:
 #
 # The module-level functions below are the single implementation of the
 # Algorithm 1/2 searches, shared by the per-kind classes further down, the
-# batched engine (:mod:`repro.core.batch_label_search`) and the sharded
-# backends (:mod:`repro.core.shard`, :mod:`repro.core.parallel`).  All take
-# ``counters == [heap_pushes, labels_changed, vertices_affected]`` and the
-# drains accept the same ``owned``/``escapes`` confinement contract as
-# :func:`repro.core.batch.shared_frontier_relax`: with ``owned`` given, a
+# batched engine (:mod:`repro.core.batch_label_search`) and the process
+# backend (:mod:`repro.core.parallel`).  All take ``counters ==
+# [heap_pushes, labels_changed, vertices_affected]``, and the drains accept
+# an ``owned``/``escapes`` confinement contract: with ``owned`` given, a
 # frontier push leaving the owned set is recorded as a
 # :data:`LabelSearchEscape` instead of followed.
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,9 @@
 """Process-pool shard backend: resident workers on shared label memory.
 
-PR 2's :class:`repro.core.shard.ShardedBatchEngine` fans only the *read-only*
-increase mark phases out to a thread pool; every label-writing phase stays
-serial, so under the GIL the sharded path is bounded by single-core repair
-speed.  This backend runs whole shard sub-batches -- decreases included -- in
-true parallel on worker *processes*, without changing the planner or the
-policy.
+This backend runs batched Label Search
+(:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`) with whole
+shard sub-batches -- decreases included -- in true parallel on worker
+*processes*, along the regions of :class:`repro.core.shard.ShardPlanner`.
 
 **Residency model.**  Label entries live in one flat CSR buffer
 (:class:`repro.core.labelling.STLLabels`), which the coordinator moves into a
@@ -27,13 +25,12 @@ Deltas carry absolute weights, so replaying one twice is idempotent -- a
 worker that sat out several batches catches up from its cursor without
 ordering hazards.
 
-**Ownership and race freedom.**  Each worker owns the
-:class:`repro.core.shard.ShardPlanner` regions assigned to it (``region_id %
-worker_count``).  Shared-memory writes are race-free *by phase discipline*,
-not by locking:
+**Ownership and race freedom.**  Each worker owns the planner regions
+assigned to it (``region_id % worker_count``).  Shared-memory writes are
+race-free *by phase discipline*, not by locking:
 
-* workers write label rows only during their two phases, and only rows of
-  vertices they own -- ownership sets are disjoint by construction;
+* workers write label rows only during their decrease phase, and only rows
+  of vertices they own -- ownership sets are disjoint by construction;
 * the coordinator writes labels only *between* worker phases (escape
   settlement, the combined increase repair, the residual engine), while
   every worker is blocked on its pipe waiting for the next message.
@@ -46,34 +43,25 @@ coordinator is mutating, and vice versa.
 owned vertices.  By the planner's separator property no edge joins two
 regions, so the only way a search frontier can leave the owned set is
 through a separator vertex.  Such a crossing is not followed -- it is
-captured as an *escape record* ``(distance, interval_min, target,
-interval_max)``, the exact heap entry the unconfined search would have
-pushed, and settled serially by the coordinator.
+captured as an *escape record* ``(index, distance, vertex)``
+(:data:`repro.core.label_search.LabelSearchEscape`), the exact heap entry
+the unconfined drain would have pushed, and settled serially by the
+coordinator.
 
-**Why owned-region decrease repairs are sound.**  The shared-frontier
-decrease proof needs every relaxation chain of the serial execution to be
-replayed from the same starting state with no chain silently dropped:
-
-* every worker starts its decrease phase from the same post-increase label
-  state the serial engine would see -- trivially so, because the combined
-  increase repair wrote *through the shared mapping* before the decrease
-  round began;
-* chains that stay inside a region are replayed verbatim by its owner;
-* chains that cross the separator are truncated at the crossing and the
-  in-flight heap entry -- which carries the genuine path length, not a label
-  value -- is handed to the coordinator, which settles all escapes in one
-  serial unconfined shared-frontier pass over the (shared) labels.  A chain
-  is only ever pruned when some label entry already beats it, and the write
-  that beat it pushed its own continuations (worker-side or as escapes), so
-  the inductive coverage argument of the serial proof carries over;
-* label writes are always of the form ``path length + root label entry``
-  with both terms upper bounds of their true post-decrease values, so no
-  write can undershoot -- exactness follows from coverage plus soundness.
+**Why owned-region decrease repairs are sound.**  The per-index decrease
+drain is plain improvement-gated relaxation per label index: every write is
+a genuine path length, confined drains replay exactly the chains inside
+their region, and a chain pruned by a better write is covered by that
+write's own continuations or escapes -- so the coordinator's unconfined
+settle drain over the escapes reaches the same fixpoint as the serial drain.
+Every worker starts its decrease phase from the post-increase label state
+the serial engine would see, because the combined increase repair wrote
+*through the shared mapping* before the decrease round began.
 
 Separator-touching and region-crossing updates never reach a worker at all:
 the planner routes them to the residual sub-batch, which runs through the
-serial :class:`repro.core.batch.BatchedParetoEngine` last, against the shared
-state -- serial composition of exact engines is exact.
+serial :class:`BatchedLabelSearchEngine` last, against the shared state --
+serial composition of exact engines is exact.
 
 **Phase structure per batch** (coordinator = the calling process):
 
@@ -81,27 +69,19 @@ state -- serial composition of exact engines is exact.
  #    phase                                                    where
 ====  =======================================================  ===========
  1    plan batch into per-region sub-batches + residual        coordinator
- 2    sync adjacency deltas, confined increase mark searches   workers
- 3    settle mark escapes, merge marks in batch order,         coordinator
-      apply increase weights, one combined bump-and-repair
+ 2    sync adjacency deltas, confined phase-1 drains growing   workers
+      the per-index affected sets (read-only on labels)
+ 3    union the affected sets, drain mark escapes, apply       coordinator
+      increase weights, one combined per-index repair
       (writes land in the shared mapping)
- 4    sync this batch's weight deltas, confined                workers
-      shared-frontier decrease writing owned rows in place
+ 4    sync this batch's weight deltas, confined per-index      workers
+      decrease drains writing owned rows in place
  5    settle decrease escapes                                  coordinator
  6    residual sub-batch through the serial engine             coordinator
 ====  =======================================================  ===========
 
 Phases 2 and 4 are the parallel ones and carry the bulk of the search work;
 3 and 5 are the serial separator-coupling passes the partition cannot avoid.
-The same six phases run for either batch engine: with ``engine=
-"label_search"`` the workers execute the confined per-label-index queue
-drains of :mod:`repro.core.label_search` instead of the Pareto searches --
-escape records become ``(index, distance, vertex)`` heap entries
-(:data:`repro.core.label_search.LabelSearchEscape`), phase 3 unions the
-workers' affected sets (no ordering discipline needed -- phase 1 marks
-vertices, not value bumps) and repairs through the shared mapping, phase 5
-drains the crossing entries unconfined.  Residency and shipping are
-engine-independent.
 The protocol is two request/reply messages per worker per batch over a
 :func:`multiprocessing.Pipe`; payloads are plain tuples/dicts of ints and
 floats, so they pickle under any start method.  Workers are persistent
@@ -120,12 +100,8 @@ from array import array
 from multiprocessing import shared_memory
 from typing import Any, Sequence
 
-from repro.core.batch import (
-    BatchedParetoEngine,
-    shared_frontier_relax,
-    validate_coalesced,
-)
-from repro.core.batch_label_search import BatchedLabelSearchEngine, merge_affected_sets
+from repro.core.batch import validate_coalesced
+from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.label_search import (
     LabelSearchEscape,
     MaintenanceStats,
@@ -137,7 +113,6 @@ from repro.core.label_search import (
     seed_decrease_queues,
 )
 from repro.core.labelling import ENTRY_BYTES, STLLabels
-from repro.core.pareto_search import ParetoSearchIncrease, interval_mark_search
 from repro.core.shard import ShardPlan, ShardPlanner, default_num_shards
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateKind
@@ -148,19 +123,9 @@ from repro.hierarchy.tree import StableTreeHierarchy
 #: worker fails a CI job instead of eating its whole time budget.
 DEFAULT_REPLY_TIMEOUT = 120.0
 
-# Escape record: the heap entry an unconfined search would have pushed at a
-# separator crossing -- (distance, interval_min, target_vertex, interval_max).
-_Escape = tuple[float, int, int, int]
-
-
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
-
-def _oriented(tau: Sequence[int], u: int, v: int) -> tuple[int, int]:
-    """``(a, b)`` with ``tau[a] < tau[b]`` (Lemma 5.3 guarantees inequality)."""
-    return (u, v) if tau[u] < tau[v] else (v, u)
-
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without adopting its lifetime.
@@ -243,71 +208,6 @@ def _worker_sync(state: dict[str, Any], task: dict[str, Any]) -> None:
         _apply_weight_deltas(state["adjacency"], task["weight_deltas"])
 
 
-def _worker_mark_phase(state: dict[str, Any]) -> dict[str, Any]:
-    """Confined mark searches for the worker's shard increases (read-only)."""
-    owned = state["owned_set"]
-    tau = state["tau"]
-    adjacency = state["adjacency"]
-    labels = state["labels"]
-    counters = [0, 0, 0]
-    marks: dict[tuple[int, int], dict[int, set[int]]] = {}
-    escapes: list[tuple[tuple[int, int], int, float, int, int, int]] = []
-    for u, v, old, _new in state["increases"]:
-        a, b = _oriented(tau, u, v)
-        rmin = min(tau[a], tau[b])
-        key = (u, v) if u < v else (v, u)
-        hits: dict[int, set[int]] = {}
-        for root, start in ((a, b), (b, a)):
-            out: list[_Escape] = []
-            interval_mark_search(
-                adjacency,
-                tau,
-                labels,
-                labels[root],
-                [(old, 0, start, rmin)],
-                hits,
-                counters,
-                owned=owned,
-                escapes=out,
-            )
-            escapes.extend((key, root, d, mn, v2, mx) for d, mn, v2, mx in out)
-        marks[key] = hits
-    return {"marks": marks, "escapes": escapes, "counters": counters}
-
-
-def _worker_decrease_phase(state: dict[str, Any]) -> dict[str, Any]:
-    """Confined shared-frontier pass over the worker's shard decreases.
-
-    Label writes go straight into the shared mapping -- only rows of owned
-    vertices, which no other process touches during this phase.  The
-    starting state is the coordinator's post-increase repair, already
-    visible through the mapping; the adjacency mirror was synced with this
-    batch's weight writes by the accompanying sync payload.
-    """
-    owned = state["owned_set"]
-    tau = state["tau"]
-    adjacency = state["adjacency"]
-    labels = state["labels"]
-
-    contexts: list[tuple[int, Any, list[_Escape]]] = []
-    by_root: dict[int, int] = {}
-    for u, v, _old, new in state["decreases"]:
-        a, b = _oriented(tau, u, v)
-        rmin = min(tau[a], tau[b])
-        for root, start in ((a, b), (b, a)):
-            ctx = by_root.get(root)
-            if ctx is None:
-                ctx = len(contexts)
-                by_root[root] = ctx
-                contexts.append((root, labels[root], []))
-            contexts[ctx][2].append((new, 0, start, rmin))
-
-    counters = [0, 0, 0]
-    escapes: list[tuple[int, float, int, int, int]] = []
-    shared_frontier_relax(adjacency, tau, labels, contexts, counters, owned=owned, escapes=escapes)
-    return {"escapes": escapes, "counters": counters}
-
-
 def _worker_ls_mark_phase(state: dict[str, Any]) -> dict[str, Any]:
     """Confined Label Search phase 1 for the worker's shard increases.
 
@@ -373,10 +273,9 @@ def _region_worker_main(conn: Any) -> None:
 
     Messages: ``("init", payload)`` maps the shared label segment and the
     owned adjacency mirror once, at pool startup; ``("batch", task)`` syncs
-    weight deltas and runs the mark phase of the task's engine (Pareto
-    interval marks or Label Search phase 1); ``("decreases", sync)`` applies
-    this batch's weight writes and runs the same engine's decrease phase;
-    ``("exit",)`` unmaps and terminates.  Any exception is reported back as
+    weight deltas and runs the confined phase-1 drains; ``("decreases",
+    sync)`` applies this batch's weight writes and runs the confined
+    decrease drains; ``("exit",)`` unmaps and terminates.  Any exception is reported back as
     ``("error", traceback)`` so the coordinator can raise instead of hanging.
     """
     state: dict[str, Any] | None = None
@@ -401,19 +300,12 @@ def _region_worker_main(conn: Any) -> None:
                 _worker_sync(state, task)
                 state["increases"] = task["increases"]
                 state["decreases"] = task["decreases"]
-                state["engine"] = task.get("engine", "pareto")
-                if state["engine"] == "label_search":
-                    conn.send(("ok", _worker_ls_mark_phase(state)))
-                else:
-                    conn.send(("ok", _worker_mark_phase(state)))
+                conn.send(("ok", _worker_ls_mark_phase(state)))
             elif kind == "decreases":
                 if state is None:
                     raise RuntimeError("decrease round received before init")
                 _worker_sync(state, message[1])
-                if state.get("engine") == "label_search":
-                    conn.send(("ok", _worker_ls_decrease_phase(state)))
-                else:
-                    conn.send(("ok", _worker_decrease_phase(state)))
+                conn.send(("ok", _worker_ls_decrease_phase(state)))
             else:
                 raise RuntimeError(f"unknown worker message {kind!r}")
         except BaseException:
@@ -485,14 +377,12 @@ def _pick_start_method(requested: str | None) -> str:
 
 
 class ProcessShardBackend:
-    """Worker-process batch maintenance on a shared label mapping.
+    """Worker-process batched Label Search on a shared label mapping.
 
-    Implements the same backend surface as
-    :class:`repro.core.shard.ShardedBatchEngine` (``apply`` /
-    ``planner`` / ``close``) and the same guarantees: labels entry-wise
-    equal to the serial :class:`BatchedParetoEngine`, degenerate plans
-    (fewer than two populated shards) handed wholesale to the serial
-    engine before any worker is spawned.
+    Labels end entry-wise equal to the serial
+    :class:`BatchedLabelSearchEngine`'s; degenerate plans (fewer than two
+    populated shards) are handed wholesale to that serial engine before any
+    worker is spawned.
 
     Workers are created lazily on the first non-degenerate batch; pool
     startup moves the labels into one shared-memory segment
@@ -507,8 +397,6 @@ class ProcessShardBackend:
     confinement over the union behaves exactly like per-region
     confinement.
     """
-
-    name = "process"
 
     #: Distinguishes segments of multiple live backends in one process.
     _segment_counter = itertools.count()
@@ -530,9 +418,7 @@ class ProcessShardBackend:
         self.max_workers = max_workers
         self.reply_timeout = reply_timeout
         self._context = multiprocessing.get_context(_pick_start_method(start_method))
-        self._serial = BatchedParetoEngine(graph, hierarchy, labels)
-        self._serial_ls = BatchedLabelSearchEngine(graph, hierarchy, labels)
-        self._increase = ParetoSearchIncrease(graph, hierarchy, labels)
+        self._serial = BatchedLabelSearchEngine(graph, hierarchy, labels)
         self._workers: list[_RegionWorker] | None = None
         self._worker_of_region: list[int] = []
         self._owned_sets: list[set[int]] = []
@@ -626,7 +512,7 @@ class ProcessShardBackend:
 
         The serving layer's shadow-copy step replaces the writer's store
         wholesale, and the resident workers' state maps the *old* store's
-        shared segment -- so the pool is shut down and every serial engine
+        shared segment -- so the pool is shut down and the serial engine
         is rebuilt over ``labels``; the next batch lazily respawns the pool
         over a fresh segment carved from the new store.  A swap therefore
         costs one pool restart, paid by the first batch after the swap, not
@@ -637,9 +523,7 @@ class ProcessShardBackend:
         """
         self.close()
         self.labels = labels
-        self._serial = BatchedParetoEngine(self.graph, self.hierarchy, labels)
-        self._serial_ls = BatchedLabelSearchEngine(self.graph, self.hierarchy, labels)
-        self._increase = ParetoSearchIncrease(self.graph, self.hierarchy, labels)
+        self._serial = BatchedLabelSearchEngine(self.graph, self.hierarchy, labels)
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared segment (idempotent)."""
@@ -717,15 +601,14 @@ class ProcessShardBackend:
         updates: Sequence[EdgeUpdate],
         plan: ShardPlan | None = None,
         max_workers: int | None = None,
-        engine: str = "pareto",
     ) -> MaintenanceStats:
         """Apply one coalesced batch through the process-pool phases.
 
-        ``engine`` selects the batch engine family the confined worker
-        phases decompose: the Pareto mark/frontier searches, or Label
-        Search's per-index queue drains (``"label_search"``) -- same
-        residency, shipping and settle discipline either way, because the
-        Label Search repairs also write through the shared mapping.
+        ``plan`` may be supplied when the caller already planned the batch
+        (as :meth:`repro.core.stl.StableTreeLabelling.apply_batch` does to
+        evaluate the balance crossover); otherwise :attr:`planner` plans it.
+        Raises :class:`repro.utils.errors.UpdateError` on non-coalesced
+        input (same precondition as the serial engine).
         """
         validate_coalesced(self.graph, updates)
         if plan is None:
@@ -734,23 +617,20 @@ class ProcessShardBackend:
         stats.extra["shards"] = plan.populated_shards
         stats.extra["sharded_updates"] = plan.sharded_updates
         stats.extra["residual_updates"] = len(plan.residual)
-        serial = self._serial_ls if engine == "label_search" else self._serial
 
         if plan.populated_shards < 2:
-            serial_stats = serial.apply(updates)
+            serial_stats = self._serial.apply(updates)
             serial_stats.updates_processed = 0  # already counted above
             stats.merge(serial_stats)
             return stats
 
         workers = self._ensure_workers(max_workers)
         tasks = self._build_tasks(plan)
-        for task in tasks.values():
-            task["engine"] = engine
         stats.extra["process_workers"] = len(tasks)
 
         try:
             # Round 1 (parallel): sync mirrors to the pre-batch state, then
-            # confined increase marks.
+            # confined phase-1 drains.
             for widx, task in tasks.items():
                 task.update(self._sync_payload(widx, stats))
                 workers[widx].send(("batch", task))
@@ -763,21 +643,18 @@ class ProcessShardBackend:
                 if u.kind is UpdateKind.INCREASE
             ]
             if sharded_increases:
-                if engine == "label_search":
-                    stats.merge(self._finish_ls_increases(plan, mark_replies))
-                else:
-                    stats.merge(self._finish_increases(updates, plan, mark_replies))
+                stats.merge(self._finish_ls_increases(plan, mark_replies))
             for widx, reply in mark_replies.items():
                 self._merge_counters(stats, reply["counters"])
                 stats.extra["mark_escapes"] = stats.extra.get("mark_escapes", 0) + len(
                     reply["escapes"]
                 )
 
-            # Round 2 (parallel): confined decrease frontiers writing owned
+            # Round 2 (parallel): confined decrease drains writing owned
             # rows into the shared mapping, then escape settlement.
             decrease_tasks = {widx: task for widx, task in tasks.items() if task["decreases"]}
             if decrease_tasks:
-                stats.merge(self._run_decreases(decrease_tasks, workers, stats, engine))
+                stats.merge(self._run_decreases(decrease_tasks, workers, stats))
         except BaseException:
             # A failed or timed-out round leaves replies of this batch
             # buffered in the pipes; a retry against the same pool would
@@ -788,7 +665,7 @@ class ProcessShardBackend:
             raise
 
         if len(plan.residual):
-            residual_stats = serial.apply(plan.residual.updates)
+            residual_stats = self._serial.apply(plan.residual.updates)
             residual_stats.updates_processed = 0  # already counted above
             stats.merge(residual_stats)
         return stats
@@ -816,95 +693,22 @@ class ProcessShardBackend:
         return tasks
 
     # ------------------------------------------------------------------ #
-    # Increase half: settle mark escapes, merge in batch order, repair
+    # Increase half: merge affected sets, settle mark escapes, repair
     # ------------------------------------------------------------------ #
-
-    def _finish_increases(
-        self,
-        updates: Sequence[EdgeUpdate],
-        plan: ShardPlan,
-        mark_replies: dict[int, Any],
-    ) -> MaintenanceStats:
-        stats = MaintenanceStats()
-        adjacency = self.graph.adjacency()
-        tau = self.hierarchy.tau
-        counters = [0, 0, 0]
-
-        # Collect worker marks and continue every escaped mark search
-        # serially on the (still unmodified) global state.  Escapes are
-        # grouped per (update, root) so each continuation relaxes against
-        # the correct root label with a fresh pruning map; re-examining
-        # vertices a worker already examined is harmless -- the tolerant
-        # mark test is value-based and over-marking is repair-safe.
-        marks_by_edge: dict[tuple[int, int], dict[int, set[int]]] = {}
-        continuations: dict[tuple[tuple[int, int], int], list[_Escape]] = {}
-        for widx in sorted(mark_replies):
-            reply = mark_replies[widx]
-            for key, hits in reply["marks"].items():
-                merged = marks_by_edge.setdefault(key, {})
-                for v, levels in hits.items():
-                    merged.setdefault(v, set()).update(levels)
-            for key, root, d, mn, v, mx in reply["escapes"]:
-                continuations.setdefault((key, root), []).append((d, mn, v, mx))
-        for (key, root), seeds in continuations.items():
-            interval_mark_search(
-                adjacency,
-                tau,
-                self.labels,
-                self.labels[root],
-                sorted(seeds),
-                marks_by_edge.setdefault(key, {}),
-                counters,
-            )
-
-        # Merge the per-update marks into one bump map in the original
-        # coalesced batch order -- the same accumulation the serial engine
-        # performs, so per-entry bump sums are added in the same order.
-        sharded_edges = {
-            (u.u, u.v) if u.u < u.v else (u.v, u.u)
-            for shard in plan.shards
-            for u in shard
-        }
-        increase_order = [
-            u
-            for u in updates
-            if u.kind is UpdateKind.INCREASE
-            and ((u.u, u.v) if u.u < u.v else (u.v, u.u)) in sharded_edges
-        ]
-        affected: dict[int, dict[int, float]] = {}
-        for update in increase_order:
-            key = (update.u, update.v) if update.u < update.v else (update.v, update.u)
-            delta = update.new_weight - update.old_weight
-            for v, levels in marks_by_edge.get(key, {}).items():
-                row = affected.setdefault(v, {})
-                for i in levels:
-                    row[i] = row.get(i, 0.0) + delta
-        stats.vertices_affected += len(affected)
-
-        for update in increase_order:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
-        if affected:
-            # The repair writes through the shared mapping, so workers start
-            # their decrease phase from the post-increase state without any
-            # entries being shipped.
-            stats.merge(self._increase.bump_and_repair(affected))
-
-        stats.heap_pushes += counters[0]
-        stats.labels_changed += counters[1]
-        return stats
 
     def _finish_ls_increases(
         self, plan: ShardPlan, mark_replies: dict[int, Any]
     ) -> MaintenanceStats:
         """Label Search increase half: merge affected sets, settle, repair.
 
-        The workers' per-index affected sets union cleanly (phase 1 marks
-        vertices, not value bumps, so no ordering discipline is needed --
-        contrast :meth:`_finish_increases`); escaped chains are drained
-        unconfined on the still-unmodified graph against the merged sets,
-        then the new weights land and one combined per-index repair writes
-        through the shared mapping, so workers start their decrease phase
-        from the post-increase state without any entries being shipped.
+        The workers' per-index affected sets union cleanly: they are sets of
+        marked vertices, so the union is exactly the set a global phase-1
+        drain would grow from the chains inside each region.  Escaped
+        chains are drained unconfined on the still-unmodified graph against
+        the merged sets, then the new weights land and one combined
+        per-index repair writes through the shared mapping, so workers
+        start their decrease phase from the post-increase state without any
+        entries being shipped.
         """
         stats = MaintenanceStats()
         tau = self.hierarchy.tau
@@ -914,7 +718,8 @@ class ProcessShardBackend:
         escapes: list[LabelSearchEscape] = []
         for widx in sorted(mark_replies):
             reply = mark_replies[widx]
-            merge_affected_sets(affected_by_index, reply["affected"])
+            for index, vertices in reply["affected"].items():
+                affected_by_index.setdefault(index, set()).update(vertices)
             escapes.extend(reply["escapes"])
         if escapes:
             drain_affected_queues(
@@ -945,7 +750,7 @@ class ProcessShardBackend:
         return stats
 
     # ------------------------------------------------------------------ #
-    # Decrease half: parallel confined frontiers + serial settlement
+    # Decrease half: parallel confined drains + serial settlement
     # ------------------------------------------------------------------ #
 
     def _run_decreases(
@@ -953,7 +758,6 @@ class ProcessShardBackend:
         decrease_tasks: dict[int, dict[str, Any]],
         workers: list[_RegionWorker],
         batch_stats: MaintenanceStats,
-        engine: str = "pareto",
     ) -> MaintenanceStats:
         stats = MaintenanceStats()
         # All sharded decrease weights go into the master graph first, so
@@ -965,50 +769,24 @@ class ProcessShardBackend:
         for widx in decrease_tasks:
             workers[widx].send(("decreases", self._sync_payload(widx, batch_stats)))
 
-        if engine == "label_search":
-            ls_escapes: list[LabelSearchEscape] = []
-            for widx in sorted(decrease_tasks):
-                reply = workers[widx].recv(self.reply_timeout)
-                ls_escapes.extend(reply["escapes"])
-                self._merge_counters(stats, reply["counters"])
-            stats.extra["decrease_escapes"] = (
-                stats.extra.get("decrease_escapes", 0) + len(ls_escapes)
-            )
-            if ls_escapes:
-                # Settle: drain the crossing heap entries unconfined on the
-                # merged shared state; the pop gate re-checks improvement, so
-                # unconditionally-escaped candidates that lost their race are
-                # simply dropped here.
-                counters = [0, 0, 0]
-                drain_decrease_queues(
-                    self.graph.adjacency(),
-                    self.hierarchy.tau,
-                    self.labels,
-                    queues_from_escapes(ls_escapes),
-                    counters,
-                )
-                self._merge_counters(stats, counters)
-            return stats
-
-        escape_seeds: dict[int, list[_Escape]] = {}
+        escapes: list[LabelSearchEscape] = []
         for widx in sorted(decrease_tasks):
             reply = workers[widx].recv(self.reply_timeout)
-            for root, d, mn, v, mx in reply["escapes"]:
-                escape_seeds.setdefault(root, []).append((d, mn, v, mx))
+            escapes.extend(reply["escapes"])
             self._merge_counters(stats, reply["counters"])
-            stats.extra["decrease_escapes"] = stats.extra.get(
-                "decrease_escapes", 0
-            ) + len(reply["escapes"])
-
-        if escape_seeds:
-            contexts = [
-                (root, self.labels[root], sorted(seeds))
-                for root, seeds in sorted(escape_seeds.items())
-            ]
+        stats.extra["decrease_escapes"] = len(escapes)
+        if escapes:
+            # Settle: drain the crossing heap entries unconfined on the
+            # merged shared state; the pop gate re-checks improvement, so
+            # unconditionally-escaped candidates that lost their race are
+            # simply dropped here.
             counters = [0, 0, 0]
-            shared_frontier_relax(
-                self.graph.adjacency(), self.hierarchy.tau, self.labels,
-                contexts, counters,
+            drain_decrease_queues(
+                self.graph.adjacency(),
+                self.hierarchy.tau,
+                self.labels,
+                queues_from_escapes(escapes),
+                counters,
             )
             self._merge_counters(stats, counters)
         return stats

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Iterable, cast
+from typing import Iterable
 
 from repro.core import kernels
 from repro.core.label_search import (
@@ -54,25 +54,14 @@ def interval_mark_search(
     seeds,
     hits: dict[int, set[int]],
     counters: list[int],
-    owned: set[int] | None = None,
-    escapes: list[tuple[float, int, int, int]] | None = None,
 ) -> None:
-    """The mark half of Algorithm 4 as a reusable kernel.
+    """The mark half of Algorithm 4 as a kernel.
 
-    This is the single implementation behind
-    :meth:`ParetoSearchIncrease.mark_affected` (seeded with the updated
-    edge, unconfined) and the process shard backend's confined worker marks
-    plus escape settlement (:mod:`repro.core.parallel`).  ``seeds`` are heap
-    entries ``(distance, interval_min, vertex, interval_max)``; ``hits``
-    collects marked levels per vertex; ``counters`` is ``[heap_pushes,
-    labels_changed, vertices_affected]`` (a plain list so worker processes
-    can ship it back without pickling a stats object).
-
-    ``adjacency``/``labels`` only need ``[]`` lookup, so the kernel runs on
-    the live index and on per-region dict slices alike.  With ``owned``
-    given, pushes that leave the owned set are appended to ``escapes`` --
-    the exact entry the unconfined search would have pushed -- instead of
-    followed.  Ties on distance are processed lowest-interval-first so the
+    The implementation behind :meth:`ParetoSearchIncrease.mark_affected`,
+    seeded with the updated edge.  ``seeds`` are heap entries ``(distance,
+    interval_min, vertex, interval_max)``; ``hits`` collects marked levels
+    per vertex; ``counters`` is ``[heap_pushes, labels_changed,
+    vertices_affected]``.  Ties on distance are processed lowest-interval-first so the
     ``level(v)`` pruning never skips an unexamined level (see
     :meth:`ParetoSearchDecrease._search_and_repair`).
 
@@ -80,8 +69,8 @@ def interval_mark_search(
     one whole-row tolerance compare
     (:func:`repro.core.kernels.interval_hit_levels`) -- the same float64
     arithmetic as the scalar loop, so the marked level set is identical
-    either way; short intervals (and non-buffer label rows, e.g. worker
-    dict slices) keep the scalar loop.
+    either way; short intervals (and non-buffer label rows) keep the scalar
+    loop.
     """
     level: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
@@ -122,12 +111,7 @@ def interval_mark_search(
             for nbr, weight in adjacency[v]:
                 if math.isinf(weight) or tau[nbr] < new_min:
                     continue
-                entry = (d + weight, new_min, nbr, new_max)
-                if owned is not None and nbr not in owned:
-                    if escapes is not None:
-                        escapes.append(entry)
-                    continue
-                heappush(heap, entry)
+                heappush(heap, (d + weight, new_min, nbr, new_max))
                 counters[0] += 1
 
 
@@ -298,24 +282,15 @@ class ParetoSearchIncrease(_ParetoSearchBase):
         return stats
 
     def bump_and_repair(
-        self,
-        affected: dict[int, dict[int, float]] | dict[int, set[int]],
-        delta: float | None = None,
+        self, affected: dict[int, set[int]], delta: float
     ) -> MaintenanceStats:
         """Algorithm 5: bump affected entries and repair them.
 
-        With ``delta`` given, ``affected`` maps each vertex to a *set* of
-        levels and every entry is bumped by the same +delta -- the
-        per-update fast path (Algorithm 4, line 18 applies the bump where
-        the equality held), kept allocation-free because it sits on the
-        Figure 8/10 per-update hot loop.  Without ``delta``, ``affected``
-        maps each vertex to ``{level: bump}`` with per-entry accumulated
-        deltas: the batched engine in :mod:`repro.core.batch` sums the
-        deltas of every update whose mark phase hit the entry -- still a
-        valid upper bound, since keeping any old shortest path costs at most
-        its old length plus the deltas of the updated edges it crosses.  The
-        repair then restores entries whose true new distance is smaller than
-        the bound.  The paper groups affected levels into intervals for cache
+        ``affected`` maps each vertex to the *set* of levels its mark phase
+        hit; every such entry is bumped by +delta (Algorithm 4, line 18
+        applies the bump where the equality held) and the repair then
+        restores entries whose true new distance is smaller than the bound.
+        The paper groups affected levels into intervals for cache
         locality -- a C++ consideration; here the exact level sets are used
         directly, which produces the same labels with less Python-level work.
         """
@@ -324,19 +299,13 @@ class ParetoSearchIncrease(_ParetoSearchBase):
         labels = self.labels
         adjacency = self.graph.adjacency()
 
-        # Upper-bound bump (Algorithm 4, line 18): a shortest path uses each
-        # updated edge at most once, so old + accumulated delta bounds the
-        # new distance.
+        # Upper-bound bump (Algorithm 4, line 18): a shortest path uses the
+        # updated edge at most once, so old + delta bounds the new distance.
         for v, levels in affected.items():
             label_v = labels[v]
-            items: Iterable[tuple[int, float]]
-            if delta is None:
-                items = cast("dict[int, float]", levels).items()
-            else:
-                items = ((i, delta) for i in levels)
-            for i, bump in items:
+            for i in levels:
                 if not math.isinf(label_v[i]):
-                    label_v[i] += bump
+                    label_v[i] += delta
                     stats.labels_changed += 1
 
         # Seed the repair queue from *all* neighbours (Algorithm 5, lines 2-6);

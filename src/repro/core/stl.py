@@ -19,18 +19,12 @@ instead, which is how the STL-L rows of Table 3 are produced.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING, Iterable, Literal
 
-from repro.core.batch import BatchedParetoEngine, BatchPolicy, normalize_engine
+from repro.core.batch import BatchPolicy
 from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.config import DEFAULT_CONFIG, STLConfig
-from repro.core.shard import (
-    ShardBackend,
-    ShardedBatchEngine,
-    ShardPlanner,
-    normalize_parallel,
-)
+from repro.core.shard import ShardPlanner
 from repro.core.label_search import (
     LabelSearchDecrease,
     LabelSearchIncrease,
@@ -51,23 +45,10 @@ from repro.utils.timer import Timer
 from repro.utils.validation import check_vertex
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
+    from repro.core.parallel import ProcessShardBackend
     from repro.core.snapshot import LabelSnapshot
 
 MaintenanceMode = Literal["pareto", "label_search"]
-
-
-def _deprecated_kwarg(old: str, replacement: str) -> None:
-    """Emit the shim warning for a legacy per-call kwarg.
-
-    ``stacklevel=3`` points the warning at the caller of the public method
-    (caller -> method -> here).
-    """
-    warnings.warn(
-        f"the {old} argument is deprecated; pass {replacement} instead "
-        "(see docs/api.md, 'Migrating to STLConfig')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class StableTreeLabelling:
@@ -98,6 +79,12 @@ class StableTreeLabelling:
         self.config = config or DEFAULT_CONFIG
         self.batch_policy = batch_policy or self.config.policy or BatchPolicy()
         self._close_pending = False
+        # The shard planner's regions are topology-only, so they survive
+        # label swaps and mode switches; the bisection is only paid on the
+        # first batch that considers the process backend, which is created
+        # lazily too (spawning worker processes is not free).
+        self._planner = ShardPlanner(graph)
+        self._process_backend: ProcessShardBackend | None = None
         self.set_maintenance(maintenance)
 
     # ------------------------------------------------------------------ #
@@ -148,33 +135,28 @@ class StableTreeLabelling:
         return fresh
 
     def set_maintenance(self, maintenance: MaintenanceMode) -> None:
-        """Select the maintenance algorithm family ('pareto' or 'label_search')."""
+        """Select the per-update maintenance family ('pareto' or 'label_search')."""
         if maintenance not in ("pareto", "label_search"):
             raise ConfigError(f"unknown maintenance mode {maintenance!r}")
         self._maintenance_mode: MaintenanceMode = maintenance
-        self._decrease: ParetoSearchDecrease | LabelSearchDecrease
-        self._increase: ParetoSearchIncrease | LabelSearchIncrease
-        if maintenance == "pareto":
-            self._decrease = ParetoSearchDecrease(self.graph, self.hierarchy, self.labels)
-            self._increase = ParetoSearchIncrease(self.graph, self.hierarchy, self.labels)
-        else:
-            self._decrease = LabelSearchDecrease(self.graph, self.hierarchy, self.labels)
-            self._increase = LabelSearchIncrease(self.graph, self.hierarchy, self.labels)
-        self._batch_engine = BatchedParetoEngine(self.graph, self.hierarchy, self.labels)
-        self._ls_batch_engine = BatchedLabelSearchEngine(self.graph, self.hierarchy, self.labels)
-        # The shard planner's regions are topology-only, so switching
-        # maintenance modes keeps the (lazily computed) plan regions; the
-        # bisection is only paid on the first sharded batch.  The process
-        # backend (live worker processes bound to the same graph/label
-        # objects) survives mode switches for the same reason.
-        if hasattr(self, "_shard_engine"):
-            planner = self._shard_engine.planner
-        else:
-            planner = ShardPlanner(self.graph)
-            self._process_backend: ShardBackend | None = None
-        self._shard_engine = ShardedBatchEngine(
-            self.graph, self.hierarchy, self.labels, planner=planner
-        )
+        self._bind_engines()
+
+    def _bind_engines(self) -> None:
+        """(Re)build every maintenance engine over the current label store."""
+        parts = (self.graph, self.hierarchy, self.labels)
+        # The per-update algorithms of both families: STL-P (Pareto Search,
+        # Algorithms 3-5) and STL-L (Label Search, Algorithms 1-2).
+        self._per_update: dict[
+            str,
+            tuple[
+                ParetoSearchIncrease | LabelSearchIncrease,
+                ParetoSearchDecrease | LabelSearchDecrease,
+            ],
+        ] = {
+            "pareto": (ParetoSearchIncrease(*parts), ParetoSearchDecrease(*parts)),
+            "label_search": (LabelSearchIncrease(*parts), LabelSearchDecrease(*parts)),
+        }
+        self._batch_engine = BatchedLabelSearchEngine(*parts)
 
     def close(self) -> None:
         """Release pooled resources (worker pool + shared label segment).
@@ -236,7 +218,7 @@ class StableTreeLabelling:
         (:meth:`STLLabels.snapshot_store`) before mutating, leaving the
         published buffer untouched for readers.  Every maintenance engine
         holds a reference to the store it was built over, so the engines
-        are rebuilt (the shard planner and its lazily computed plan are
+        are rebuilt (the shard planner and its lazily computed regions are
         preserved -- regions are topology-only); a live process backend is
         *rebound* (:meth:`repro.core.parallel.ProcessShardBackend.rebind`):
         its resident workers detach from the old store's shared segment and
@@ -247,7 +229,7 @@ class StableTreeLabelling:
                 f"adopted store covers {len(labels)} vertices, index has {len(self.labels)}"
             )
         self.labels = labels
-        self.set_maintenance(self._maintenance_mode)
+        self._bind_engines()
         if self._process_backend is not None:
             self._process_backend.rebind(labels)
 
@@ -281,7 +263,6 @@ class StableTreeLabelling:
     def batch_query(
         self,
         pairs: Iterable[tuple[int, int]],
-        kernel: str | None = None,
         *,
         config: STLConfig | None = None,
     ) -> list[float]:
@@ -293,17 +274,9 @@ class StableTreeLabelling:
         ``repro[fast]`` extra), ``"scalar"`` (the pure-Python loop), or
         ``None`` for the import-time default.  Purely a performance choice:
         both kernels return entry-wise identical answers.
-
-        The positional ``kernel=`` argument is the pre-:class:`STLConfig`
-        spelling; it still works but emits a :class:`DeprecationWarning`
-        (see docs/api.md, "Migrating to STLConfig").
         """
-        if config is not None and kernel is not None:
-            raise ConfigError("pass either config= or the legacy kernel= kwarg, not both")
-        if kernel is not None:
-            _deprecated_kwarg("kernel", "config=STLConfig(kernel=...)")
-        used = kernel if kernel is not None else (config or self.config).kernel
-        return batch_query(self.hierarchy, self.labels, list(pairs), used)
+        kernel = (config or self.config).kernel
+        return batch_query(self.hierarchy, self.labels, list(pairs), kernel)
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -311,18 +284,20 @@ class StableTreeLabelling:
 
     def apply_update(self, update: EdgeUpdate) -> MaintenanceStats:
         """Apply one edge-weight update (dispatches on increase/decrease)."""
+        return self._apply_one(update, self._maintenance_mode)
+
+    def _apply_one(self, update: EdgeUpdate, family: str) -> MaintenanceStats:
+        """One update through the per-update algorithms of ``family``."""
+        increase, decrease = self._per_update[family]
         if update.kind is UpdateKind.INCREASE:
-            return self._increase.apply(update)
+            return increase.apply(update)
         if update.kind is UpdateKind.DECREASE:
-            return self._decrease.apply(update)
+            return decrease.apply(update)
         return MaintenanceStats(updates_processed=1)
 
     def apply_batch(
         self,
         updates: Iterable[EdgeUpdate],
-        policy: BatchPolicy | None = None,
-        parallel: bool | str | None = None,
-        engine: str | None = None,
         *,
         config: STLConfig | None = None,
     ) -> MaintenanceStats:
@@ -336,165 +311,96 @@ class StableTreeLabelling:
           its last update, never at a kind-grouped reordering of the chain.
           The net update's kind classifies the overall effect, so a chain
           that cancels out is a NEUTRAL no-op.
-        * **Net-kind processing** -- net increases run before net decreases
-          (disjoint edges, so the order only fixes which pass pays for which
-          entry).  The :class:`BatchPolicy` crossover picks the processing
-          strategy -- the per-update loop for tiny batches, a serial batched
-          engine for moderate ones, and a worker-pool shard backend for
-          large, well-spread ones (``stats.extra["sharded"]`` records the
-          choice).
+        * **Four legs** -- the :class:`BatchPolicy` picks the strategy: the
+          per-update loop for tiny batches, serial batched Label Search for
+          the rest, the same engine on the process backend for very large,
+          well-spread batches (``stats.extra["sharded"]`` records whether a
+          considered plan ran), and a rebuild past the crossover below.
         * **Rebuild crossover** -- when the net batch exceeds
           ``policy.rebuild_fraction`` of the graph's edges (and
           ``policy.rebuild_min_updates``), maintaining is slower than
           reconstructing: the weights are applied and the labels are rebuilt
           from scratch in place (``stats.extra["rebuild_fallback"]`` records
-          the fallback).  ``policy`` defaults to :attr:`batch_policy`.
+          the fallback).
 
-        Backend, engine family and policy come from ``config`` (a per-call
-        :class:`STLConfig` override, defaulting to the index's own config):
+        Backend, per-update family and policy come from ``config`` (a
+        per-call :class:`STLConfig` override, defaulting to the index's own
+        config):
 
-        * ``config.backend`` selects the shard backend: ``"thread"`` or
-          ``"process"`` force that worker-pool engine (bypassing the rebuild
-          crossover -- an explicit request to exercise the parallel path, as
-          the benchmarks do), ``"serial"`` forbids sharding, and ``None``
-          (default) lets the policy's batch-size, shard-balance and
-          ``process_min_updates`` thresholds pick between the four
-          strategies.  Any other value raises
-          :class:`repro.utils.errors.ConfigError` naming the allowed set.
-        * ``config.engine`` selects the batch engine family independently of
-          the backend: ``"pareto"`` (the update-centric shared phases) or
-          ``"label_search"`` (the ancestor-centric per-index queues of
-          :mod:`repro.core.batch_label_search`).  ``None`` defers to the
-          index's maintenance mode when it is ``label_search``, else to
-          :meth:`BatchPolicy.engine_for` -- the engine half of the joint
-          engine x backend crossover.  Every engine runs on every backend
-          and all strategies produce entry-wise identical labels, so both
-          choices are purely performance matters; ``stats.extra
-          ["label_search_engine"]`` records a Label Search batch.
-
-        The positional ``policy=`` / ``parallel=`` / ``engine=`` arguments
-        are the pre-:class:`STLConfig` spellings of the same three choices
-        (``parallel`` additionally accepts its historical booleans:
-        ``True`` means ``"thread"``, ``False`` means ``"serial"``).  They
-        still work but emit :class:`DeprecationWarning` (see docs/api.md,
-        "Migrating to STLConfig") and cannot be mixed with ``config=``.
+        * ``config.backend``: ``"process"`` forces the process backend
+          (bypassing the rebuild crossover -- an explicit request to
+          exercise the parallel path, as the benchmarks do), ``"serial"``
+          forbids it, and ``None`` (default) lets the policy's
+          ``process_min_updates`` and shard-balance thresholds decide.
+        * ``config.engine`` picks the per-update family the tiny-batch loop
+          runs: ``"pareto"`` (STL-P) or ``"label_search"`` (STL-L); ``None``
+          defers to the index's maintenance mode.  All legs produce
+          entry-wise identical labels, so every choice is purely a
+          performance matter.
+        * ``config.policy`` overrides :attr:`batch_policy`.
 
         ``updates_processed`` counts every update consumed from the input
         batch, including NEUTRAL updates and updates folded away by
         coalescing; ``stats.extra["net_updates"]`` reports the coalesced
         batch size.
         """
-        if config is not None and (
-            policy is not None or parallel is not None or engine is not None
-        ):
-            raise ConfigError("pass either config= or the legacy per-call kwargs, not both")
-        if policy is not None:
-            _deprecated_kwarg("policy", "config=STLConfig(policy=...)")
-        if parallel is not None:
-            _deprecated_kwarg("parallel", "config=STLConfig(backend=...)")
-        if engine is not None:
-            _deprecated_kwarg("engine", "config=STLConfig(engine=...)")
         cfg = config if config is not None else self.config
-        backend = normalize_parallel(parallel) if parallel is not None else cfg.backend
-        chosen = normalize_engine(engine) if engine is not None else cfg.engine
-        if chosen is None and self._maintenance_mode == "label_search":
-            chosen = "label_search"
         batch = updates if isinstance(updates, UpdateBatch) else UpdateBatch(updates)
         total = len(batch)
         if total == 0:
             return MaintenanceStats()
-        policy = policy or cfg.policy or self.batch_policy
+        policy = cfg.policy or self.batch_policy
         net = batch.coalesce(self.graph)
         # NEUTRAL nets (cancelled chains) do no maintenance work, so they must
         # not push an otherwise-small batch over the rebuild crossover.
         effective = sum(1 for u in net if u.kind is not UpdateKind.NEUTRAL)
-        used_engine = chosen or policy.engine_for(effective)
-        if backend in ("thread", "process"):
-            stats = self._apply_batch_sharded(
-                net, policy, forced=True, backend=backend, engine=used_engine
-            )
+        if cfg.backend == "process":
+            stats = self._apply_batch_process(net, policy, forced=True)
         elif policy.should_rebuild(effective, self.graph.num_edges):
             stats = self._rebuild_in_place(net)
-            used_engine = "rebuild"
-        elif backend != "serial" and policy.should_shard(effective):
-            stats = self._apply_batch_sharded(
-                net,
-                policy,
-                forced=False,
-                backend=policy.backend_for(effective),
-                engine=used_engine,
-            )
-        elif policy.should_loop(effective) and (
-            chosen is None or chosen == self._maintenance_mode
-        ):
-            # Tiny batch: the batch machinery would cost more than it
-            # shares; run the plain per-update loop (which dispatches to the
-            # maintenance mode's own per-kind algorithms).
+        elif cfg.backend is None and policy.should_shard(effective):
+            stats = self._apply_batch_process(net, policy, forced=False)
+        elif policy.should_loop(effective):
+            # Tiny batch: the paper's per-update algorithms, one by one.
+            family = cfg.engine or self._maintenance_mode
             stats = MaintenanceStats()
             for update in net:
-                stats.merge(self.apply_update(update))
-            used_engine = self._maintenance_mode
+                stats.merge(self._apply_one(update, family))
         else:
-            stats = self._serial_engine(used_engine).apply(net.updates)
+            stats = self._batch_engine.apply(net.updates)
         stats.updates_processed += total - len(net)
         stats.extra["net_updates"] = len(net)
-        if used_engine == "label_search":
-            stats.extra["label_search_engine"] = 1
         return stats
 
-    def _serial_engine(
-        self, engine: str
-    ) -> BatchedParetoEngine | BatchedLabelSearchEngine:
-        """The serial batched engine of the given family."""
-        return self._ls_batch_engine if engine == "label_search" else self._batch_engine
-
-    def _apply_batch_sharded(
-        self,
-        net: UpdateBatch,
-        policy: BatchPolicy,
-        forced: bool,
-        backend: str = "thread",
-        engine: str = "pareto",
+    def _apply_batch_process(
+        self, net: UpdateBatch, policy: BatchPolicy, forced: bool
     ) -> MaintenanceStats:
-        """Plan ``net`` into shards and run a worker-pool engine.
+        """Plan ``net`` into shards and run it on the process backend.
 
         Unless ``forced``, an unbalanced plan (most updates residual, or a
-        single populated shard) falls back to the serial batched engine of
-        the chosen family -- the plan's balance is the second key of the
-        policy's crossover.  Every sharded engine additionally degrades to
-        the serial engine for degenerate plans, so ``forced=True`` is
-        always safe.  Both engines share one planner, so the plan computed
-        here is the plan they run.
+        single populated shard) falls back to the serial batched engine --
+        the plan's balance is the second key of the policy's crossover.
+        The backend itself degrades to the serial engine for degenerate
+        plans, so ``forced=True`` is always safe.
         """
-        shard_engine = self._shard_backend(backend)
-        plan = shard_engine.planner.plan(net)
+        plan = self._planner.plan(net)
         if not forced and not plan.worth_running(policy):
-            stats = self._serial_engine(engine).apply(net.updates)
+            stats = self._batch_engine.apply(net.updates)
             stats.extra["sharded"] = 0
             return stats
-        stats = shard_engine.apply(
-            net.updates, plan=plan, max_workers=policy.max_workers, engine=engine
+        stats = self._process_shard_backend().apply(
+            net.updates, plan=plan, max_workers=policy.max_workers
         )
         stats.extra["sharded"] = 1
         return stats
 
-    def _shard_backend(self, backend: str) -> ShardBackend:
-        """The thread engine, or the lazily created process backend.
-
-        The process backend is constructed on first use (spawning worker
-        processes is not free) and shares the thread engine's planner, so
-        both pools run the identical partition of the vertex set.
-        """
-        if backend == "thread":
-            return self._shard_engine
+    def _process_shard_backend(self) -> ProcessShardBackend:
+        """The lazily created process backend, sharing the index's planner."""
         if self._process_backend is None:
             from repro.core.parallel import ProcessShardBackend
 
             self._process_backend = ProcessShardBackend(
-                self.graph,
-                self.hierarchy,
-                self.labels,
-                planner=self._shard_engine.planner,
+                self.graph, self.hierarchy, self.labels, planner=self._planner
             )
         return self._process_backend
 

@@ -7,31 +7,18 @@ scratch.  The paper's observation -- maintenance stays below reconstruction
 even for the largest group -- is the headline argument for incremental
 maintenance.
 
-Four maintenance flavours are measured per group:
+Three maintenance flavours are measured per group:
 
-* the historical **per-update loop** (``apply_update`` per stream entry),
-* the **batched path** (``apply_batch`` on the increase half, then on the
-  decrease half), which coalesces per edge, shares the mark/repair phases of
-  Pareto Search across the whole group, and auto-falls back to an in-place
-  label rebuild past the :class:`repro.core.batch.BatchPolicy` crossover
-  (reported in the ``rebuild fallbacks`` row),
-* the **thread-sharded path** (``apply_batch(..., parallel="thread")``),
-  which splits each half along the :class:`repro.core.shard.ShardPlanner`
-  partition and runs the per-region sub-batches on a thread pool
-  (:class:`repro.core.shard.ShardedBatchEngine`), falling back to the serial
-  engine for degenerate plans, and
-* the **process-sharded path** (``apply_batch(..., parallel="process")``),
-  which ships each region's label rows to a worker process that owns them
-  (:class:`repro.core.parallel.ProcessShardBackend`) -- the only flavour
-  whose searches run outside the GIL.
-
-Each batched/sharded flavour is additionally measured with the **Label
-Search engine** (``apply_batch(..., engine="label_search")``, the batched
-Algorithms 1-2 of :mod:`repro.core.batch_label_search`), giving the full
-engine x backend matrix per group: ``STL batched`` vs ``STL-LS batched``
-compares the engine families serially, the sharded rows compare them on the
-worker-pool backends.  The Pareto rows pin ``engine="pareto"`` explicitly so
-the policy's engine crossover can never reroute a labelled series.
+* the historical **per-update loop** (``apply_update`` per stream entry, the
+  paper's STL-P),
+* **batched Label Search** on the serial backend (``apply_batch`` on the
+  increase half, then on the decrease half), which coalesces per edge and
+  shares the per-label-index queues of Algorithms 1-2 across the whole
+  group (:mod:`repro.core.batch_label_search`), and
+* the same engine on the **process** backend (``STLConfig(backend=
+  "process")``), which runs each region's sub-batch in a worker process
+  that owns its label rows (:class:`repro.core.parallel.ProcessShardBackend`)
+  -- the only flavour whose searches run outside the GIL.
 """
 
 from __future__ import annotations
@@ -53,25 +40,15 @@ class Figure10Series:
     network: str
     group_sizes: list[int] = field(default_factory=list)
     maintenance_seconds: list[float] = field(default_factory=list)
-    batched_seconds: list[float] = field(default_factory=list)
-    sharded_seconds: list[float] = field(default_factory=list)
-    process_seconds: list[float] = field(default_factory=list)
     ls_batched_seconds: list[float] = field(default_factory=list)
-    ls_sharded_seconds: list[float] = field(default_factory=list)
     ls_process_seconds: list[float] = field(default_factory=list)
-    rebuild_fallbacks: list[int] = field(default_factory=list)
     reconstruction_seconds: float = 0.0
 
     def as_series(self) -> dict[str, list[float]]:
         return {
             "STL per-update [s]": self.maintenance_seconds,
-            "STL batched [s]": self.batched_seconds,
-            "STL sharded [s]": self.sharded_seconds,
-            "STL process-sharded [s]": self.process_seconds,
             "STL-LS batched [s]": self.ls_batched_seconds,
-            "STL-LS sharded [s]": self.ls_sharded_seconds,
             "STL-LS process-sharded [s]": self.ls_process_seconds,
-            "Rebuild fallbacks": [float(n) for n in self.rebuild_fallbacks],
             "Reconstruction [s]": [self.reconstruction_seconds] * len(self.group_sizes),
         }
 
@@ -82,10 +59,10 @@ def run_figure10(
 ) -> list[Figure10Series]:
     """Measure grouped maintenance time against full reconstruction.
 
-    Every group is measured twice on the same update stream: once through the
-    per-update loop and once through the batched path.  Both passes restore
-    the graph to its original weights (the stream nets to zero), so the
-    measurements are directly comparable.
+    Every group is measured three times on the same update stream: through
+    the per-update loop, then through each batched backend.  Every pass
+    restores the graph to its original weights (the stream nets to zero), so
+    the measurements are directly comparable.
     """
     config = config or ExperimentConfig()
     results: list[Figure10Series] = []
@@ -104,46 +81,16 @@ def run_figure10(
                     stl.apply_update(update)
             series.group_sizes.append(size)
             series.maintenance_seconds.append(timer.elapsed)
-            # The batched path processes the same stream as the paper does: the
+            # The batched paths process the same stream as the paper does: the
             # increase half as one batch, then the restoring decrease half.
-            # parallel=False pins this row to the serial engines: without it
-            # the policy's crossover would route large groups to the sharded
-            # engine and the "batched" row would measure the wrong thing.
-            seconds, fallbacks = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel=False, engine="pareto",
-            )
-            series.batched_seconds.append(seconds)
-            series.rebuild_fallbacks.append(fallbacks)
-            # The sharded paths replay the same halves once more each (the
-            # stream nets to zero after every pass, so the graph state
-            # matches); the explicit backend names force the worker-pool
-            # engines even for groups the policy would keep serial.
-            sharded, _ = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel="thread", engine="pareto",
-            )
-            series.sharded_seconds.append(sharded)
-            process, _ = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel="process", engine="pareto",
-            )
-            series.process_seconds.append(process)
-            # The Label Search engine replays the same halves on all three
-            # backends -- the engine half of the engine x backend matrix.
+            # backend="serial" pins the first row to the serial engine: the
+            # policy would otherwise route large groups to the process pool.
             ls_batched, _ = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel=False, engine="label_search",
+                stl, (stream.increases(), stream.decreases()), backend="serial"
             )
             series.ls_batched_seconds.append(ls_batched)
-            ls_sharded, _ = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel="thread", engine="label_search",
-            )
-            series.ls_sharded_seconds.append(ls_sharded)
             ls_process, _ = measure_batched_seconds(
-                stl, (stream.increases(), stream.decreases()),
-                parallel="process", engine="label_search",
+                stl, (stream.increases(), stream.decreases()), backend="process"
             )
             series.ls_process_seconds.append(ls_process)
         stl.close()  # release the process backend's worker pool

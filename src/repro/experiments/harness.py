@@ -52,10 +52,8 @@ class ExperimentConfig:
     leaf_size: int = 16
     batch_rebuild_min_updates: int = 64
     batch_rebuild_fraction: float | None = 0.25
-    batch_parallel_min_updates: int | None = 192
     batch_parallel_min_balance: float = 0.5
     batch_process_min_updates: int | None = None
-    batch_label_search_max_updates: int | None = None
     batch_max_workers: int | None = None
 
     def hierarchy_options(self) -> HierarchyOptions:
@@ -63,20 +61,12 @@ class ExperimentConfig:
         return HierarchyOptions(beta=self.beta, leaf_size=self.leaf_size)
 
     def batch_policy(self) -> BatchPolicy:
-        """Batch-processing policy (four-way + rebuild + engine crossover).
-
-        ``batch_label_search_max_updates`` defaults to ``None`` -- experiment
-        series are engine-pinned (each series names its engine explicitly),
-        so the drivers never want the engine crossover rerouting a series
-        behind its label.
-        """
+        """Batch-processing policy (four legs, see :class:`BatchPolicy`)."""
         return BatchPolicy(
             rebuild_min_updates=self.batch_rebuild_min_updates,
             rebuild_fraction=self.batch_rebuild_fraction,
-            parallel_min_updates=self.batch_parallel_min_updates,
             parallel_min_balance=self.batch_parallel_min_balance,
             process_min_updates=self.batch_process_min_updates,
-            label_search_max_updates=self.batch_label_search_max_updates,
             max_workers=self.batch_max_workers,
         )
 
@@ -196,23 +186,19 @@ def apply_batch_timed(index, batch: UpdateBatch) -> float:
 def measure_batched_seconds(
     index: StableTreeLabelling,
     batches: Iterable[UpdateBatch],
-    parallel: bool | str | None = None,
-    engine: str | None = None,
+    backend: str | None = None,
 ) -> tuple[float, int]:
     """Total seconds applying ``batches`` via ``apply_batch``, plus fallbacks.
 
     The second element counts how many of the batches crossed the
     :class:`repro.core.batch.BatchPolicy` threshold and were processed as an
     in-place rebuild instead of incremental maintenance (Figure 10's
-    crossover diagnostic).  ``parallel`` and ``engine`` are forwarded to
-    :meth:`repro.core.stl.StableTreeLabelling.apply_batch`: ``True`` /
-    ``"thread"`` / ``"process"`` force a worker-pool backend (no rebuild
-    fallback can then occur), ``"pareto"`` / ``"label_search"`` pin the
-    engine family, and ``None`` lets the policy crossovers decide.  The
-    experiment series always pin ``engine`` so each measured series is the
-    strategy its label names.
+    crossover diagnostic).  ``backend`` is forwarded through the index's
+    :class:`STLConfig`: ``"process"`` forces the process backend (no
+    rebuild fallback can then occur), ``"serial"`` forbids it, and ``None``
+    lets the policy crossovers decide.
     """
-    config = index.config.replace(backend=parallel, engine=engine)
+    config = index.config.replace(backend=backend)
     timer = Timer()
     fallbacks = 0
     for batch in batches:

@@ -43,10 +43,10 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--port", type=int, default=4025)
     parser.add_argument(
         "--engine", choices=("pareto", "label_search"), default=None,
-        help="batch maintenance engine family",
+        help="per-update maintenance family",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
+        "--backend", choices=("serial", "process"), default=None,
         help="shard backend for batch maintenance",
     )
     parser.add_argument(
@@ -59,6 +59,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _config(args: argparse.Namespace) -> STLConfig:
+    """The index configuration the command-line flags ask for."""
+    return STLConfig(backend=args.backend, engine=args.engine, kernel=args.kernel)
+
+
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.dimacs is not None:
         return read_dimacs(args.dimacs)
@@ -67,7 +72,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 async def _run(args: argparse.Namespace) -> None:
     graph = _load_graph(args)
-    config = STLConfig(backend=args.backend, engine=args.engine, kernel=args.kernel)
+    config = _config(args)
     service = QueryService(graph, config=config, snapshot_path=args.snapshot)
     server = QueryServer(service, host=args.host, port=args.port)
     async with service, server:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import networkx as nx
 import pytest
 
+from repro.core.batch import BatchPolicy
+from repro.core.config import STLConfig
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import (
     city_road_network,
@@ -18,6 +21,19 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
+
+
+#: Serial configs pinning one batch-policy leg for every batch size, with the
+#: rebuild fallback off: the per-update Pareto loop (STL-P) and batched
+#: Label Search.
+PARETO_LOOP = STLConfig(
+    backend="serial",
+    engine="pareto",
+    policy=BatchPolicy(rebuild_fraction=None, batched_min_updates=sys.maxsize),
+)
+BATCHED_LS = STLConfig(
+    backend="serial", policy=BatchPolicy(rebuild_fraction=None, batched_min_updates=0)
+)
 
 
 def nx_all_pairs(graph: Graph) -> dict[int, dict[int, float]]:

@@ -1,11 +1,13 @@
-"""Unit tests for the batched Pareto maintenance engine (core/batch.py)."""
+"""Unit tests for the batch policy (core/batch.py) and the batched engine."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from repro.core.batch import BatchedParetoEngine, BatchPolicy
+from repro.core.batch import BatchPolicy
+from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.labelling import build_labels, verify_labels
 from repro.core.stl import StableTreeLabelling
 from repro.core.config import STLConfig
@@ -49,6 +51,19 @@ class TestBatchPolicy:
         policy = BatchPolicy(rebuild_min_updates=0, rebuild_fraction=None)
         assert not policy.should_rebuild(10_000, 1)
 
+    def test_one_threshold_per_leg(self):
+        """The four legs need exactly these knobs: the loop/batched split,
+        the process gate (size and plan balance), its worker count, and the
+        rebuild crossover (size and fraction)."""
+        assert [f.name for f in dataclasses.fields(BatchPolicy)] == [
+            "rebuild_min_updates",
+            "rebuild_fraction",
+            "batched_min_updates",
+            "parallel_min_balance",
+            "process_min_updates",
+            "max_workers",
+        ]
+
 
 class TestReorderRegression:
     def test_mixed_chain_on_one_edge_lands_on_net_weight(self, stl):
@@ -81,13 +96,13 @@ class TestReorderRegression:
         assert stl.labels.equals(rebuilt)
 
 
-class TestBatchedParetoEngine:
+class TestBatchedLabelSearchEngine:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coalesced_batches_match_rebuild(self, seeded_random_graph, seed):
         stl = StableTreeLabelling.build(seeded_random_graph, HierarchyOptions(leaf_size=6))
         batch, _ = random_mixed_batch(stl.graph, 25, seed=seed)
         net = batch.coalesce(stl.graph)
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         stats = engine.apply(net.updates)
         assert stats.updates_processed == len(net)
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
@@ -98,29 +113,29 @@ class TestBatchedParetoEngine:
         from repro.utils.errors import UpdateError
 
         u, v, w = next(iter(stl.graph.edges()))
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         with pytest.raises(UpdateError):
             engine.apply([EdgeUpdate(u, v, w, w / 2), EdgeUpdate(u, v, w / 2, w * 2)])
 
     def test_stale_old_weight_rejected(self, stl):
-        """A stale old_weight mis-scopes the mark phase; the engine must
+        """A stale old_weight mis-scopes phase 1; the engine must
         refuse it rather than silently corrupt labels."""
         from repro.utils.errors import UpdateError
 
         u, v, w = next(iter(stl.graph.edges()))
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         with pytest.raises(UpdateError):
             engine.apply([EdgeUpdate(u, v, w + 1.0, w + 5.0)])
 
     def test_pure_increase_batch(self, stl):
         updates = [EdgeUpdate(u, v, w, w * 3) for u, v, w in list(stl.graph.edges())[:6]]
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         engine.apply(updates)
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
-    def test_pure_decrease_batch_shares_frontier(self, stl):
+    def test_pure_decrease_batch(self, stl):
         updates = [EdgeUpdate(u, v, w, w / 4) for u, v, w in list(stl.graph.edges())[:6]]
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         engine.apply(updates)
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
@@ -129,7 +144,7 @@ class TestBatchedParetoEngine:
         edges = list(stl.graph.edges())
         updates = [EdgeUpdate(edges[0][0], edges[0][1], edges[0][2], math.inf)]
         updates += [EdgeUpdate(u, v, w, w / 2) for u, v, w in edges[5:8]]
-        engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         engine.apply(updates)
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 

@@ -1,12 +1,10 @@
-"""STLConfig: the one configuration object, its validator and the shims.
+"""STLConfig: the one configuration object and its validator.
 
-The API redesign folded the accreted per-call kwargs (``parallel=``,
-``engine=``, ``kernel=``, ``policy=``) into one frozen dataclass validated
-at construction.  These tests pin the contract: construction-time
-validation through :class:`ConfigError` (a ``ValueError`` subclass),
-canonical normalisation of the legacy boolean spellings, the
-:func:`repro.open_network` facade, and the deprecation shims that keep the
-old kwargs working while warning.
+Every per-index choice lives on one frozen dataclass validated at
+construction.  These tests pin the contract: construction-time validation
+through :class:`ConfigError` (a ``ValueError`` subclass), the
+:func:`repro.open_network` facade, and the rejection of the retired
+per-call kwargs and backend spellings.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import repro
 from repro.core.batch import BatchPolicy, normalize_engine
 from repro.core.config import DEFAULT_CONFIG, STLConfig
 from repro.core.kernels import HAS_NUMPY, normalize_kernel
+from repro.core.label_search import LabelSearchIncrease
 from repro.core.shard import normalize_parallel
 from repro.core.stl import StableTreeLabelling, open_network
 from repro.graph.updates import EdgeUpdate
@@ -66,12 +65,6 @@ class TestSTLConfigValidation:
         assert issubclass(ConfigError, ValueError)
         assert issubclass(ConfigError, STLError)
 
-    def test_legacy_boolean_backends_normalised(self):
-        assert STLConfig(backend=True).backend == "thread"
-        assert STLConfig(backend=False).backend == "serial"
-        assert STLConfig(backend=True) == STLConfig(backend="thread")
-        assert hash(STLConfig(backend=False)) == hash(STLConfig(backend="serial"))
-
     def test_replace_revalidates(self):
         base = STLConfig(engine="label_search")
         assert base.replace(backend="process").engine == "label_search"
@@ -80,7 +73,7 @@ class TestSTLConfigValidation:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            STLConfig().backend = "thread"  # type: ignore[misc]
+            STLConfig().backend = "process"  # type: ignore[misc]
 
     def test_maintenance_follows_engine(self):
         assert STLConfig().maintenance == "pareto"
@@ -139,72 +132,32 @@ class TestOpenNetwork:
         assert stl.config == DEFAULT_CONFIG
         assert stl.maintenance_mode == "pareto"
 
-    def test_config_drives_batches_without_kwargs(self, small_grid):
+    def test_config_drives_batches_without_kwargs(self, small_grid, monkeypatch):
+        """The config's engine picks the family of the tiny-batch loop."""
         stl = open_network(small_grid, config=STLConfig(engine="label_search"))
-        u, v, w = next(iter(stl.graph.edges()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            stats = stl.apply_batch(
-                [EdgeUpdate(u, v, w, w * 2) for u, v, w in list(stl.graph.edges())[:8]]
-            )
-        assert stats.extra.get("label_search_engine") == 1
+        calls = []
+        original = LabelSearchIncrease.apply
+
+        def spy(self, updates):
+            calls.append(updates)
+            return original(self, updates)
+
+        monkeypatch.setattr(LabelSearchIncrease, "apply", spy)
+        edges = list(stl.graph.edges())[:2]
+        stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2) for u, v, w in edges])
+        assert stats.updates_processed == 2
+        assert len(calls) == 2
 
     def test_rebuild_inherits_config(self, small_grid):
         config = STLConfig(kernel="scalar")
         stl = open_network(small_grid, config=config)
         assert stl.rebuild().config is config
 
-
-class TestDeprecationShims:
-    @pytest.fixture
-    def stl(self, small_grid):
-        return StableTreeLabelling.build(small_grid)
-
-    def test_parallel_kwarg_warns_and_works(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning, match="backend"):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], parallel="serial")
-        assert stats.updates_processed == 1
-
-    def test_engine_kwarg_warns_and_works(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning, match="STLConfig"):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], engine="label_search")
-        assert stats.extra.get("label_search_engine") == 1
-
-    def test_policy_kwarg_warns_and_works(self, stl):
-        updates = [EdgeUpdate(u, v, w, w * 2) for u, v, w in list(stl.graph.edges())[:5]]
-        with pytest.warns(DeprecationWarning, match="policy"):
-            stats = stl.apply_batch(
-                updates, policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0)
-            )
-        assert stats.extra.get("rebuild_fallback") == 1
-
-    def test_kernel_kwarg_warns_and_works(self, stl):
-        pairs = [(0, stl.graph.num_vertices - 1)]
-        with pytest.warns(DeprecationWarning, match="kernel"):
-            legacy = stl.batch_query(pairs, kernel="scalar")
-        assert legacy == stl.batch_query(pairs, config=STLConfig(kernel="scalar"))
-
-    def test_legacy_booleans_still_accepted_through_shim(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], parallel=False)
-        assert stats.updates_processed == 1
-
-    def test_mixing_config_and_legacy_kwargs_rejected(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.raises(ConfigError, match="not both"):
-            stl.apply_batch(
-                [EdgeUpdate(u, v, w, w * 2)], engine="pareto", config=STLConfig()
-            )
-        with pytest.raises(ConfigError, match="not both"):
-            stl.batch_query([(0, 1)], kernel="scalar", config=STLConfig())
-
-    def test_config_path_is_warning_free(self, stl):
+    def test_config_path_is_warning_free(self, small_grid):
+        stl = StableTreeLabelling.build(small_grid)
         u, v, w = next(iter(stl.graph.edges()))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], config=STLConfig(backend="serial"))
             stl.batch_query([(0, 1)], config=STLConfig(kernel="scalar"))
 
@@ -213,3 +166,43 @@ class TestDeprecationShims:
                      "QueryService", "QueryServer", "StableTreeLabelling"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+
+
+class TestRetiredSpellings:
+    def test_retired_backends_and_kwargs_raise(self, small_grid):
+        """The thread backend, the boolean backend spellings and the
+        per-call ``policy=``/``parallel=``/``engine=``/``kernel=`` kwargs are
+        gone: each fails loudly instead of silently picking a backend."""
+        for retired in ("thread", True, False):
+            with pytest.raises(ConfigError, match="'process', 'serial'"):
+                STLConfig(backend=retired)
+        stl = StableTreeLabelling.build(small_grid)
+        u, v, w = next(iter(stl.graph.edges()))
+        updates = [EdgeUpdate(u, v, w, w * 2)]
+        for kwarg, value in (
+            ("policy", BatchPolicy()),
+            ("parallel", "serial"),
+            ("engine", "label_search"),
+        ):
+            with pytest.raises(TypeError):
+                stl.apply_batch(updates, **{kwarg: value})
+            with pytest.raises(TypeError):
+                stl.apply_batch(updates, value)
+        with pytest.raises(TypeError):
+            stl.batch_query([(0, 1)], kernel="scalar")
+        with pytest.raises(TypeError):
+            stl.batch_query([(0, 1)], "scalar")
+        assert stl.graph.weight(u, v) == w
+
+    def test_mixing_config_and_legacy_kwargs_rejected(self, small_grid):
+        """A retired kwarg next to a valid ``config`` still fails: the config
+        does not make the old spelling acceptable again."""
+        stl = StableTreeLabelling.build(small_grid)
+        u, v, w = next(iter(stl.graph.edges()))
+        with pytest.raises(TypeError, match="engine"):
+            stl.apply_batch(
+                [EdgeUpdate(u, v, w, w * 2)], engine="pareto", config=STLConfig()
+            )
+        with pytest.raises(TypeError, match="kernel"):
+            stl.batch_query([(0, 1)], kernel="scalar", config=STLConfig())
+        assert stl.graph.weight(u, v) == w

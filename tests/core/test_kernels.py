@@ -12,7 +12,6 @@ import math
 import pytest
 
 from repro.core import kernels
-from repro.core.batch import BatchedParetoEngine
 from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.kernels import (
     HAS_NUMPY,
@@ -24,11 +23,11 @@ from repro.core.kernels import (
 )
 from repro.core.pareto_search import ParetoSearchIncrease
 from repro.core.stl import StableTreeLabelling
-from repro.graph.generators import city_road_network, random_connected_graph
+from repro.graph.generators import city_road_network
 from repro.graph.graph import Graph
 from repro.hierarchy.builder import HierarchyOptions
 from repro.core.config import STLConfig
-from tests.conftest import random_mixed_batch
+from tests.conftest import BATCHED_LS, PARETO_LOOP, random_mixed_batch
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy (repro[fast])")
 
@@ -209,14 +208,12 @@ class TestCachedViews:
         ))
 
 
-def _run_batches(engine_cls, graph, monkeypatch, force_vector):
+def _run_batches(config, graph, monkeypatch, force_vector):
     """Replay the mixed-batch workload with the vector mark path on or off."""
     monkeypatch.setattr(kernels, "VECTOR_MIN_SPAN", 1 if force_vector else 10**9)
     stl = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=8))
-    engine = engine_cls(stl.graph, stl.hierarchy, stl.labels)
     for round_ in range(3):
-        batch = random_mixed_batch(stl.graph, 40, seed=round_)
-        engine.apply(batch.coalesce(stl.graph).updates)
+        stl.apply_batch(random_mixed_batch(stl.graph, 40, seed=round_), config=config)
     return list(stl.labels.view)
 
 
@@ -230,12 +227,10 @@ class TestMarkPhaseParity:
     """
 
     @needs_numpy
-    @pytest.mark.parametrize(
-        "engine_cls", [BatchedParetoEngine, BatchedLabelSearchEngine]
-    )
-    def test_final_labels_identical(self, small_grid, monkeypatch, engine_cls):
-        vector = _run_batches(engine_cls, small_grid, monkeypatch, force_vector=True)
-        scalar = _run_batches(engine_cls, small_grid, monkeypatch, force_vector=False)
+    @pytest.mark.parametrize("config", [PARETO_LOOP, BATCHED_LS], ids=["pareto", "label_search"])
+    def test_final_labels_identical(self, small_grid, monkeypatch, config):
+        vector = _run_batches(config, small_grid, monkeypatch, force_vector=True)
+        scalar = _run_batches(config, small_grid, monkeypatch, force_vector=False)
         assert vector == scalar  # bitwise: same marks -> same repairs
 
     @needs_numpy
@@ -257,10 +252,9 @@ class TestMarkPhaseParity:
                 stl = StableTreeLabelling.build(
                     small_grid.copy(), HierarchyOptions(leaf_size=8)
                 )
-                engine = BatchedParetoEngine(stl.graph, stl.hierarchy, stl.labels)
                 for round_ in range(3):
                     batch = random_mixed_batch(stl.graph, 40, seed=round_)
-                    engine.apply(batch.coalesce(stl.graph).updates)
+                    stl.apply_batch(batch, config=PARETO_LOOP)
             return recorded
 
         assert collect(True) == collect(False)

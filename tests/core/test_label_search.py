@@ -143,7 +143,7 @@ class TestBatchedEngine:
     """Regression coverage for the batched Label Search engine (PR 7)."""
 
     def test_repeated_batches_stay_exact(self, small_grid):
-        """Label Search mirror of the sharded engine's regression: repeated
+        """Regression for the float-equality marking bug: repeated
         mixed batches land on labels whose entries were rewritten by earlier
         repairs, so a marking predicate that is too strict (or an
         old-shortest-path test that drifted from ``on_old_shortest_path``)

@@ -9,18 +9,11 @@ import random
 
 import pytest
 
-from repro.core.batch import BatchedParetoEngine, BatchPolicy
+from repro.core.batch import BatchPolicy
+from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.labelling import verify_labels
 from repro.core.parallel import ProcessShardBackend
-from repro.core.shard import (
-    SHARD_BACKEND_NAMES,
-    SerialShardBackend,
-    ShardBackend,
-    ShardedBatchEngine,
-    ShardPlanner,
-    create_backend,
-    normalize_parallel,
-)
+from repro.core.shard import SHARD_BACKEND_NAMES, ShardPlanner, normalize_parallel
 from repro.core.stl import StableTreeLabelling
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
@@ -38,7 +31,7 @@ WORKERS = 4
 def process_pair(small_grid):
     """(serial engine + index, process backend + index) on the same build."""
     serial, par = paired_indexes(small_grid)
-    engine = BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels)
+    engine = BatchedLabelSearchEngine(serial.graph, serial.hierarchy, serial.labels)
     backend = ProcessShardBackend(
         par.graph,
         par.hierarchy,
@@ -60,7 +53,7 @@ class TestProcessBackendEquivalence:
         both graphs must return to their original weights.
         """
         serial, par = paired_indexes(medium_grid)
-        engine = BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels)
+        engine = BatchedLabelSearchEngine(serial.graph, serial.hierarchy, serial.labels)
         backend = ProcessShardBackend(
             par.graph,
             par.hierarchy,
@@ -122,7 +115,7 @@ class TestProcessBackendEquivalence:
             assert stats.extra["residual_updates"] == len(updates)
             assert "process_workers" not in stats.extra
             assert backend._workers is None, "degenerate plan must not spawn workers"
-            BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels).apply(
+            BatchedLabelSearchEngine(serial.graph, serial.hierarchy, serial.labels).apply(
                 updates
             )
             assert serial.labels.equals(par.labels)
@@ -211,8 +204,6 @@ class TestProcessBackendEquivalence:
 class TestBackendSelection:
     def test_normalize_parallel_mappings(self):
         assert normalize_parallel(None) is None
-        assert normalize_parallel(False) == "serial"
-        assert normalize_parallel(True) == "thread"
         for name in SHARD_BACKEND_NAMES:
             assert normalize_parallel(name) == name
 
@@ -221,9 +212,7 @@ class TestBackendSelection:
         """Regression: ``parallel`` used to accept any truthy value."""
         with pytest.raises(ValueError) as err:
             normalize_parallel(bogus)
-        message = str(err.value)
-        assert "allowed backends: 'process', 'serial', 'thread'" in message
-        assert "True/False/None" in message
+        assert "allowed backends: 'process', 'serial' (or None)" in str(err.value)
 
     def test_apply_batch_rejects_unknown_backend(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
@@ -231,49 +220,25 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="allowed backends"):
             stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], config=STLConfig(backend="proces"))
 
-    def test_create_backend_registry(self, small_grid):
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        planner = ShardPlanner(stl.graph, num_shards=4)
-        for name, cls in (
-            ("serial", SerialShardBackend),
-            ("thread", ShardedBatchEngine),
-            ("process", ProcessShardBackend),
-        ):
-            backend = create_backend(name, stl.graph, stl.hierarchy, stl.labels, planner)
-            try:
-                assert isinstance(backend, cls)
-                assert isinstance(backend, ShardBackend)
-                assert backend.name == name
-                assert backend.planner is planner
-            finally:
-                backend.close()
-        with pytest.raises(ValueError, match="allowed backends"):
-            create_backend("gpu", stl.graph, stl.hierarchy, stl.labels)
-
-    def test_policy_backend_for_crossover(self):
-        policy = BatchPolicy(process_min_updates=100)
-        assert policy.backend_for(99) == "thread"
-        assert policy.backend_for(100) == "process"
-        # The calibrated default engages the process pool at 384 net
-        # updates (see BatchPolicy.process_min_updates); None disables it.
-        assert BatchPolicy().backend_for(383) == "thread"
-        assert BatchPolicy().backend_for(384) == "process"
-        assert BatchPolicy(process_min_updates=None).backend_for(10**6) == "thread"
-
     def test_apply_batch_parallel_process_end_to_end(self, small_grid):
-        """``apply_batch(parallel="process")`` forces the process backend and
-        matches the serial route entry-wise."""
+        """``STLConfig(backend="process")`` forces the process backend --
+        bypassing even a policy that would rebuild -- and matches the serial
+        route entry-wise."""
         serial, par = paired_indexes(small_grid)
-        par.batch_policy = BatchPolicy(rebuild_fraction=None, max_workers=WORKERS)
+        serial.batch_policy = BatchPolicy(rebuild_fraction=None)
+        par.batch_policy = BatchPolicy(
+            rebuild_min_updates=1, rebuild_fraction=0.0, max_workers=WORKERS
+        )
         try:
             for round_ in range(2):
                 batch = random_mixed_batch(serial.graph, 60, seed=round_ + 20)
                 serial.apply_batch(UpdateBatch(batch.updates), config=STLConfig(backend="serial"))
                 stats = par.apply_batch(UpdateBatch(batch.updates), config=STLConfig(backend="process"))
                 assert stats.extra["sharded"] == 1
+                assert "rebuild_fallback" not in stats.extra
                 assert serial.labels.equals(par.labels)
             assert par._process_backend is not None
-            assert par._process_backend.planner is par._shard_engine.planner
+            assert par._process_backend.planner is par._planner
         finally:
             par.close()
             par.close()  # idempotent
@@ -282,7 +247,6 @@ class TestBackendSelection:
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
         stl.batch_policy = BatchPolicy(
             rebuild_fraction=None,
-            parallel_min_updates=10,
             parallel_min_balance=0.1,
             process_min_updates=10,
             max_workers=WORKERS,
@@ -297,8 +261,8 @@ class TestBackendSelection:
             stl.close()
 
     def test_label_search_mode_runs_process(self, small_grid):
-        """Label-search mode runs on the process backend (PR 7 lifted the
-        pre-PR-7 ValueError) and stays entry-wise equal to the serial engine."""
+        """Label-search mode runs on the process backend and stays
+        entry-wise equal to the serial engine."""
         serial = StableTreeLabelling.build(
             small_grid.copy(), HierarchyOptions(leaf_size=8), maintenance="label_search"
         )
@@ -308,10 +272,9 @@ class TestBackendSelection:
         )
         try:
             batch = random_mixed_batch(serial.graph, 50, seed=3)
-            serial.apply_batch(batch, config=STLConfig(backend=False))
+            serial.apply_batch(batch, config=STLConfig(backend="serial"))
             stats = par.apply_batch(batch, config=STLConfig(backend="process"))
             assert stats.extra["sharded"] == 1
-            assert stats.extra["label_search_engine"] == 1
             assert par.labels.differences(serial.labels) == []
         finally:
             par.close()
@@ -472,7 +435,7 @@ class TestSharedMemoryResidency:
                 for index in (serial, par):
                     cur = index.graph.weight(u, v)
                     single = UpdateBatch([EdgeUpdate(u, v, cur, new)])
-                    BatchedParetoEngine(
+                    BatchedLabelSearchEngine(
                         index.graph, index.hierarchy, index.labels
                     ).apply(single.coalesce(index.graph).updates)
                 edges = list(serial.graph.edges())

@@ -1,16 +1,31 @@
-"""Unit tests for sharded parallel batch maintenance (core/shard.py)."""
+"""Unit tests for shard planning (core/shard.py), sharded equivalence and
+the policy crossover."""
 
 import pytest
 
-from repro.core.batch import BatchedParetoEngine, BatchPolicy
+from repro.core.batch import BatchPolicy
+from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.labelling import verify_labels
-from repro.core.shard import ShardedBatchEngine, ShardPlanner, default_num_shards
+from repro.core.parallel import ProcessShardBackend
+from repro.core.shard import ShardPlanner, default_num_shards
 from repro.core.stl import StableTreeLabelling
 from repro.graph.updates import EdgeUpdate
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import UpdateError
 from repro.core.config import STLConfig
 from tests.conftest import paired_indexes, random_mixed_batch
+
+#: Workers for the sharded runs: more than one, so the ownership merge runs,
+#: but few, to keep the test's memory small.
+WORKERS = 2
+
+#: The serial route: batched Label Search, never sharded, never rebuilt.
+SERIAL = STLConfig(backend="serial", policy=BatchPolicy(rebuild_fraction=None))
+
+#: The sharded route: the same engine on the process backend.
+SHARDED = STLConfig(
+    backend="process", policy=BatchPolicy(rebuild_fraction=None, max_workers=WORKERS)
+)
 
 
 class TestShardPlanner:
@@ -88,51 +103,50 @@ class TestShardPlanner:
 
 
 class TestShardedEquivalence:
-    """Property-style: sharded labels match the serial engine entry-wise."""
+    """Property-style: sharded labels match the serial engine entry-wise.
+
+    These go through :meth:`StableTreeLabelling.apply_batch`, the public
+    route to the process backend; ``test_parallel.py`` drives the backend
+    object directly.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_mixed_batches_match_serial(self, small_grid, seed):
         serial, sharded = paired_indexes(small_grid)
-        batch = random_mixed_batch(serial.graph, 70, seed=seed)
-        serial_engine = BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels)
-        serial_engine.apply(batch.coalesce(serial.graph).updates)
-        engine = ShardedBatchEngine(
-            sharded.graph,
-            sharded.hierarchy,
-            sharded.labels,
-            planner=ShardPlanner(sharded.graph, num_shards=4),
-        )
-        engine.apply(batch.coalesce(sharded.graph).updates)
-        assert serial.labels.equals(sharded.labels)
-        assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        try:
+            batch = random_mixed_batch(serial.graph, 70, seed=seed)
+            serial.apply_batch(batch, config=SERIAL)
+            stats = sharded.apply_batch(batch, config=SHARDED)
+            assert stats.extra["sharded"] == 1
+            assert stats.extra["process_workers"] == WORKERS
+            assert serial.labels.equals(sharded.labels)
+            assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        finally:
+            sharded.close()
 
     def test_repeated_batches_stay_exact(self, small_grid):
         """Regression for the float-equality marking bug: a second mixed
         batch lands on labels whose entries were rewritten by decrease
-        repairs; before the tolerant through-the-edge test both the serial
-        and the sharded engine silently lost whole increase deltas here."""
+        repairs; before the tolerant through-the-edge test whole increase
+        deltas were silently lost here."""
         serial, sharded = paired_indexes(small_grid)
-        serial_engine = BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels)
-        engine = ShardedBatchEngine(
-            sharded.graph,
-            sharded.hierarchy,
-            sharded.labels,
-            planner=ShardPlanner(sharded.graph, num_shards=4),
-        )
-        for round_ in range(3):
-            batch = random_mixed_batch(serial.graph, 40, seed=round_)
-            serial_engine.apply(batch.coalesce(serial.graph).updates)
-            engine.apply(batch.coalesce(sharded.graph).updates)
-            assert verify_labels(serial.graph, serial.hierarchy, serial.labels) == []
-            assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
-            assert serial.labels.equals(sharded.labels)
+        try:
+            for round_ in range(3):
+                batch = random_mixed_batch(serial.graph, 40, seed=round_)
+                serial.apply_batch(batch, config=SERIAL)
+                sharded.apply_batch(batch, config=SHARDED)
+                assert verify_labels(serial.graph, serial.hierarchy, serial.labels) == []
+                assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+                assert serial.labels.equals(sharded.labels)
+        finally:
+            sharded.close()
 
     def test_fully_separator_crossing_batch(self, small_grid):
         """Degenerate plan: every update touches the separator, so the whole
-        batch is residual and the engine runs the serial path."""
+        batch is residual and the backend runs the serial path without
+        spawning a worker."""
         serial, sharded = paired_indexes(small_grid)
-        planner = ShardPlanner(sharded.graph, num_shards=4)
-        _, separator = planner.regions()
+        _, separator = sharded._planner.regions()
         sep = set(separator)
         updates = [
             EdgeUpdate(u, v, w, w * 2)
@@ -140,39 +154,58 @@ class TestShardedEquivalence:
             if u in sep or v in sep
         ]
         assert updates, "grid separator must touch some edges"
-        engine = ShardedBatchEngine(
-            sharded.graph, sharded.hierarchy, sharded.labels, planner=planner
-        )
-        stats = engine.apply(updates)
-        assert stats.extra["sharded_updates"] == 0
-        assert stats.extra["residual_updates"] == len(updates)
-        BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels).apply(updates)
-        assert serial.labels.equals(sharded.labels)
-        assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        try:
+            stats = sharded.apply_batch(updates, config=SHARDED)
+            assert stats.extra["sharded_updates"] == 0
+            assert stats.extra["residual_updates"] == len(updates)
+            assert sharded._process_backend._workers is None
+            serial.apply_batch(updates, config=SERIAL)
+            assert serial.labels.equals(sharded.labels)
+            assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        finally:
+            sharded.close()
 
     def test_non_coalesced_batch_rejected(self, small_grid):
         _, sharded = paired_indexes(small_grid)
+        before = sharded.labels.copy()
         u, v, w = next(iter(sharded.graph.edges()))
-        engine = ShardedBatchEngine(sharded.graph, sharded.hierarchy, sharded.labels)
-        with pytest.raises(UpdateError):
-            engine.apply([EdgeUpdate(u, v, w, w / 2), EdgeUpdate(u, v, w / 2, w * 2)])
+        backend = ProcessShardBackend(sharded.graph, sharded.hierarchy, sharded.labels)
+        try:
+            with pytest.raises(UpdateError):
+                backend.apply([EdgeUpdate(u, v, w, w / 2), EdgeUpdate(u, v, w / 2, w * 2)])
+            assert backend._workers is None, "rejected input must not spawn workers"
+            assert sharded.labels.equals(before)
+            assert sharded.graph.weight(u, v) == w
+        finally:
+            backend.close()
 
     def test_stale_old_weight_rejected(self, small_grid):
         _, sharded = paired_indexes(small_grid)
+        before = sharded.labels.copy()
         u, v, w = next(iter(sharded.graph.edges()))
-        engine = ShardedBatchEngine(sharded.graph, sharded.hierarchy, sharded.labels)
-        with pytest.raises(UpdateError):
-            engine.apply([EdgeUpdate(u, v, w + 1.0, w + 5.0)])
+        backend = ProcessShardBackend(sharded.graph, sharded.hierarchy, sharded.labels)
+        try:
+            with pytest.raises(UpdateError):
+                backend.apply([EdgeUpdate(u, v, w + 1.0, w + 5.0)])
+            assert backend._workers is None, "rejected input must not spawn workers"
+            assert sharded.labels.equals(before)
+            assert sharded.graph.weight(u, v) == w
+        finally:
+            backend.close()
 
 
 class TestPolicyCrossover:
     def test_should_loop_and_should_shard(self):
-        policy = BatchPolicy(batched_min_updates=3, parallel_min_updates=100)
+        policy = BatchPolicy(batched_min_updates=3, process_min_updates=100)
         assert policy.should_loop(2)
         assert not policy.should_loop(3)
         assert not policy.should_shard(99)
         assert policy.should_shard(100)
-        assert not BatchPolicy(parallel_min_updates=None).should_shard(10_000)
+        # The default engages the process pool at 384 net updates (see
+        # BatchPolicy.process_min_updates); None disables it.
+        assert not BatchPolicy().should_shard(383)
+        assert BatchPolicy().should_shard(384)
+        assert not BatchPolicy(process_min_updates=None).should_shard(10_000)
 
     def test_accepts_plan(self):
         policy = BatchPolicy(parallel_min_balance=0.5)
@@ -180,51 +213,60 @@ class TestPolicyCrossover:
         assert not policy.accepts_plan(1, 1.0)
         assert not policy.accepts_plan(4, 0.49)
 
-    def test_apply_batch_parallel_false_never_shards(self, small_grid):
+    def test_apply_batch_serial_backend_never_shards(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
         stl.batch_policy = BatchPolicy(
-            rebuild_fraction=None, parallel_min_updates=1, parallel_min_balance=0.0
+            rebuild_fraction=None, process_min_updates=1, parallel_min_balance=0.0
         )
         batch = random_mixed_batch(stl.graph, 30, seed=1)
-        stats = stl.apply_batch(batch, config=STLConfig(backend=False))
-        assert "sharded" not in stats.extra or stats.extra["sharded"] == 0
+        stats = stl.apply_batch(batch, config=STLConfig(backend="serial"))
+        assert "sharded" not in stats.extra
+        assert stl._process_backend is None
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
-    def test_apply_batch_parallel_true_forces_sharding(self, small_grid):
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        # Even a policy that would rebuild is bypassed by parallel=True.
-        stl.batch_policy = BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0)
-        batch = random_mixed_batch(stl.graph, 30, seed=2)
-        stats = stl.apply_batch(batch, config=STLConfig(backend=True))
-        assert stats.extra["sharded"] == 1
-        assert "rebuild_fallback" not in stats.extra
-        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
-
-    def test_apply_batch_label_search_runs_parallel(self, small_grid):
-        """Label-search mode shards on the thread backend (PR 7 lifted the
-        pre-PR-7 ValueError) and stays entry-wise equal to the serial engine."""
-        serial = StableTreeLabelling.build(
-            small_grid.copy(), HierarchyOptions(leaf_size=8), maintenance="label_search"
-        )
-        sharded = StableTreeLabelling(
-            small_grid.copy(), serial.hierarchy, serial.labels.copy(),
-            maintenance="label_search",
-        )
-        batch = random_mixed_batch(serial.graph, 50, seed=3)
-        serial.apply_batch(batch, config=STLConfig(backend=False))
-        stats = sharded.apply_batch(batch, config=STLConfig(backend=True))
-        assert stats.extra["sharded"] == 1
-        assert stats.extra["label_search_engine"] == 1
-        assert sharded.labels.differences(serial.labels) == []
-
-    def test_policy_crossover_selects_sharded(self, small_grid):
+    def test_unbalanced_plan_stays_serial(self, small_grid):
+        """The balance gate: a plan below ``parallel_min_balance`` runs the
+        serial engine without spawning the process pool."""
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
         stl.batch_policy = BatchPolicy(
-            rebuild_fraction=None, parallel_min_updates=10, parallel_min_balance=0.1
+            rebuild_fraction=None, process_min_updates=1, parallel_min_balance=1.01
+        )
+        batch = random_mixed_batch(stl.graph, 30, seed=2)
+        stats = stl.apply_batch(batch)
+        assert stats.extra["sharded"] == 0
+        assert stl._process_backend is None
+        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
+
+    def test_below_process_threshold_stays_serial(self, small_grid):
+        """A balanced batch under ``process_min_updates`` never reaches the
+        planner: it runs serial batched Label Search and spawns no pool."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stl.batch_policy = BatchPolicy(
+            rebuild_fraction=None, process_min_updates=1_000, parallel_min_balance=0.0
         )
         batch = random_mixed_batch(stl.graph, 60, seed=4)
         stats = stl.apply_batch(batch)
-        assert stats.extra.get("sharded") == 1
+        assert "sharded" not in stats.extra
+        assert stl._process_backend is None
+        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
+
+    @pytest.mark.parametrize("engine", ["pareto", "label_search"])
+    def test_larger_batches_run_batched_label_search(self, small_grid, engine, monkeypatch):
+        """``STLConfig.engine`` picks only the per-update family: past the
+        tiny-batch loop, either family runs batched Label Search."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        calls = []
+        original = BatchedLabelSearchEngine.apply
+
+        def spy(self, updates):
+            calls.append(len(updates))
+            return original(self, updates)
+
+        monkeypatch.setattr(BatchedLabelSearchEngine, "apply", spy)
+        config = STLConfig(engine=engine, policy=BatchPolicy(rebuild_fraction=None))
+        batch = random_mixed_batch(stl.graph, 30, seed=6)
+        stats = stl.apply_batch(batch, config=config)
+        assert calls == [stats.extra["net_updates"]]
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
     def test_tiny_batch_runs_per_update_loop(self, small_grid):

@@ -208,7 +208,7 @@ class TestClosePinsRegression:
         assert not stl.close_pending  # drained -> teardown ran
 
     def test_deferred_close_tears_down_process_backend(self, stl):
-        stl._shard_backend("process")  # force the pooled backend alive
+        stl._process_shard_backend()  # force the pooled backend alive
         assert stl._process_backend is not None
         snap = stl.snapshot(copy=False)
         snap.acquire()

@@ -1,11 +1,15 @@
 """Unit tests for the experiment drivers (small configurations)."""
 
+import pytest
 
+from repro.core.batch import BatchPolicy
+from repro.core.stl import StableTreeLabelling
 from repro.experiments.harness import (
     ExperimentConfig,
     build_dynamic_competitors,
     build_static_competitors,
     build_stl_variants,
+    measure_batched_seconds,
     measure_query_us,
     measure_updates_per_ms,
 )
@@ -18,7 +22,7 @@ from repro.experiments.figure8 import format_figure8, run_figure8
 from repro.experiments.figure9 import format_figure9, run_figure9
 from repro.experiments.figure10 import format_figure10, run_figure10
 from repro.workloads.datasets import build_dataset
-from repro.workloads.updates import random_update_batch
+from repro.workloads.updates import mixed_update_stream, random_update_batch
 from repro.workloads.queries import random_query_pairs
 
 
@@ -76,6 +80,28 @@ class TestHarness:
         assert measure_updates_per_ms(stl, []) == 0.0
         assert measure_query_us(stl, []) == 0.0
 
+    @pytest.mark.parametrize(
+        "backend, fallbacks", [(None, 2), ("serial", 2), ("process", 0)]
+    )
+    def test_measure_batched_seconds_counts_fallbacks(self, backend, fallbacks):
+        """Under a policy that rebuilds every batch, only a forced process
+        backend maintains incrementally; the other routes count rebuilds."""
+        graph = build_dataset("NY", scale=0.2, seed=1)
+        stl = StableTreeLabelling.build(graph.copy(), TINY.hierarchy_options())
+        stl.batch_policy = BatchPolicy(
+            rebuild_min_updates=1, rebuild_fraction=0.0, max_workers=2
+        )
+        stream = mixed_update_stream(stl.graph, 20, factor=2.0, seed=0)
+        try:
+            seconds, counted = measure_batched_seconds(
+                stl, (stream.increases(), stream.decreases()), backend=backend
+            )
+        finally:
+            stl.close()
+        assert seconds > 0
+        assert counted == fallbacks
+        assert sorted(stl.graph.edges()) == sorted(graph.edges())
+
 
 class TestTableDrivers:
     def test_table2(self):
@@ -129,6 +155,19 @@ class TestFigureDrivers:
         assert series.reconstruction_seconds > 0
         assert len(series.maintenance_seconds) == 2
         assert "Reconstruction" in format_figure10(results)
+
+    def test_figure10_series_are_the_four_legs(self):
+        series = run_figure10(TINY, group_sizes=(4,))[0]
+        table = series.as_series()
+        assert list(table) == [
+            "STL per-update [s]",
+            "STL-LS batched [s]",
+            "STL-LS process-sharded [s]",
+            "Reconstruction [s]",
+        ]
+        for values in table.values():
+            assert len(values) == 1
+            assert values[0] > 0
 
 
 def test_default_config_uses_bench_subset(monkeypatch):

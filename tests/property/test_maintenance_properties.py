@@ -13,14 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra_oracle import DijkstraOracle
-from repro.core.batch import BatchPolicy
 from repro.core.labelling import build_labels
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import random_connected_graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.rng import make_rng
-from repro.core.config import STLConfig
+from tests.conftest import BATCHED_LS, PARETO_LOOP
 
 SETTINGS = settings(
     max_examples=15,
@@ -114,7 +113,7 @@ def test_queries_remain_metric_after_updates(scenario):
 
 
 # --------------------------------------------------------------------------- #
-# Randomized update streams through the batch engines (PR 7)
+# Randomized update streams through the batch policy legs
 # --------------------------------------------------------------------------- #
 
 #: Weight chains deliberately visit the awkward ends of the range: ``inf``
@@ -161,28 +160,26 @@ def stream_scenarios(draw):
     return graph, rounds
 
 
-def _replay_batches(graph, rounds, engine):
+def _replay_batches(graph, rounds, config):
     stl = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=4))
-    stl.batch_policy = BatchPolicy(rebuild_fraction=None)
     for batch in rounds:
         updates = UpdateBatch(EdgeUpdate(u, v, old, new) for u, v, old, new in batch)
-        stl.apply_batch(updates, config=STLConfig(backend=False, engine=engine))
+        stl.apply_batch(updates, config=config)
     return stl
 
 
 @SETTINGS
 @given(stream_scenarios())
 def test_batch_engines_agree_on_random_streams(scenario):
-    """Both engine families land on entry-wise identical labels after the
-    same stream -- and both equal a from-scratch rebuild."""
+    """The per-update Pareto loop and batched Label Search both land on
+    labels entry-wise equal to a from-scratch rebuild after the same
+    stream."""
     graph, rounds = scenario
-    pareto = _replay_batches(graph, rounds, "pareto")
-    label_search = _replay_batches(graph, rounds, "label_search")
-    assert pareto.labels.equals(label_search.labels), (
-        pareto.labels.differences(label_search.labels)[:5]
-    )
+    pareto = _replay_batches(graph, rounds, PARETO_LOOP)
+    label_search = _replay_batches(graph, rounds, BATCHED_LS)
     rebuilt = build_labels(pareto.graph, pareto.hierarchy)
     assert pareto.labels.equals(rebuilt), pareto.labels.differences(rebuilt)[:5]
+    assert label_search.labels.equals(rebuilt), label_search.labels.differences(rebuilt)[:5]
 
 
 @SETTINGS
@@ -192,7 +189,7 @@ def test_batch_engines_answer_queries_like_dijkstra(scenario):
     catches any divergence the label-shape oracle cannot see (e.g. a wrong
     but internally consistent labelling)."""
     graph, rounds = scenario
-    stl = _replay_batches(graph, rounds, "label_search")
+    stl = _replay_batches(graph, rounds, BATCHED_LS)
     # Replay the stream through the oracle's own update path: Graph.copy()
     # re-adds edges (finite-only), but set_weight accepts inf deletions.
     oracle = DijkstraOracle.build(graph.copy())
